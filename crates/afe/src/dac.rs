@@ -8,8 +8,8 @@
 //! nonlinearity only.
 
 use crate::error::{ensure_in_range, ensure_positive};
-use crate::noise::standard_normal;
 use crate::AfeError;
+use hotwire_physics::stochastic::standard_normal;
 use hotwire_units::Volts;
 use rand::Rng;
 

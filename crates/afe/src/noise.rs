@@ -1,5 +1,6 @@
 //! Electronic noise helpers: Johnson–Nyquist and amplifier noise.
 
+use hotwire_physics::stochastic::standard_normal;
 use hotwire_units::{Kelvin, Ohms, Volts};
 use rand::Rng;
 
@@ -24,14 +25,6 @@ pub fn johnson_rms(r: Ohms, temperature: Kelvin, bandwidth_hz: f64) -> Volts {
 /// Draws one sample of zero-mean Gaussian voltage noise with the given rms.
 pub fn noise_sample<R: Rng + ?Sized>(rng: &mut R, rms: Volts) -> Volts {
     Volts::new(rms.get() * standard_normal(rng))
-}
-
-/// Standard-normal draw (Box–Muller), kept local so `hotwire-afe` does not
-/// depend on the physics crate.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 /// A stateful 1/f ("flicker") noise generator: the sum of three octave-spaced

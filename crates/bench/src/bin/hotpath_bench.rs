@@ -11,20 +11,31 @@
 //! * **fast** — `step_frame` under the opt-in `AfeTier::Fast` tier
 //!   (quasi-static once-per-frame AFE, bounded-error).
 //!
+//! A fourth, machine-transferable figure prices the Gaussian generator
+//! every noise model draws through: `normal_per_uniform`, the ns per
+//! [`standard_normal`] divided by the ns per uniform `gen::<f64>` on the
+//! same generator.
+//!
 //! ```sh
 //! cargo run -p hotwire-bench --release --bin hotpath_bench
 //! cargo run -p hotwire-bench --release --bin hotpath_bench -- --smoke --out out.json
 //! cargo run -p hotwire-bench --release --bin hotpath_bench -- --smoke --check BENCH_hotpath.json
 //! ```
 //!
-//! `--check BASELINE` gates the *speedup ratios* (block/scalar and
-//! fast/scalar), not the absolute samples/s: ratios transfer between
-//! machines, absolute throughput does not.
+//! `--check BASELINE` gates the *ratios* (block/scalar and fast/scalar
+//! speedups, which may not fall; `normal_per_uniform`, which may not
+//! rise), not the absolute samples/s: ratios transfer between machines,
+//! absolute throughput does not. The generator needs its own gate because
+//! a slower normal slows the scalar denominator and so *raises*
+//! `fast_speedup`.
 
 use hotwire_core::config::AfeTier;
 use hotwire_core::{FlowMeter, FlowMeterConfig};
+use hotwire_physics::stochastic::standard_normal;
 use hotwire_physics::{MafParams, SensorEnvironment};
 use hotwire_units::MetersPerSecond;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -33,19 +44,23 @@ options:
   --smoke          scaled-down frame count for CI
   --out PATH       where to write the JSON report (default: BENCH_hotpath.json)
   --check BASELINE compare against a committed BENCH_hotpath.json; exit 1 if a
-                   speedup ratio regressed more than 30 %";
+                   speedup ratio fell, or normal_per_uniform rose, more than
+                   30 %";
 
-/// Fraction of a baseline speedup ratio the fresh measurement may lose
-/// before `--check` fails.  The gated quantities are *ratios* between
-/// tiers measured in the same process, so machine speed cancels out —
-/// but scheduling noise on shared CI runners still swings the block
-/// ratio by ±15 % run to run, hence the wide band.  The gate exists to
-/// catch structural regressions (an accidental de-fusing of the AFE
-/// chain halves the block ratio; losing the fast tier's table drops its
-/// ratio by 100×), not single-digit drift.
+/// Fraction of a baseline ratio the fresh measurement may lose (a
+/// speedup) or gain (`normal_per_uniform`) before `--check` fails.  The
+/// gated quantities are *ratios* measured in the same process, so
+/// machine speed cancels out — but scheduling noise on shared CI runners
+/// still swings the block ratio by ±15 % run to run, hence the wide band.
+/// The gate exists to catch structural regressions (an accidental
+/// de-fusing of the AFE chain halves the block ratio; losing the fast
+/// tier's table drops its ratio by 100×; Box–Muller in place of the
+/// ziggurat multiplies `normal_per_uniform` by ≈6), not single-digit
+/// drift.
 const REGRESSION_TOLERANCE: f64 = 0.30;
 
-/// Seed shared by all three meters so they regulate the same plant.
+/// Seed shared by all three meters so they regulate the same plant, and
+/// by the generator measurement.
 const SEED: u64 = 0x407_7A7;
 
 /// The steady mid-range flow every tier is measured at.
@@ -121,6 +136,33 @@ fn measure_frames(tier: AfeTier, frames: u64, warmup_frames: u64) -> TierRun {
     }
 }
 
+/// Timed rounds per generator; the fastest round counts, shedding
+/// scheduler noise from a loop of a few nanoseconds per draw.
+const RNG_ROUNDS: usize = 3;
+
+/// ns per draw of `draw` over `draws` calls on `rng`.
+fn ns_per_draw<R, F: FnMut(&mut R) -> f64>(rng: &mut R, draws: u64, mut draw: F) -> f64 {
+    let start = Instant::now();
+    let mut acc = 0.0;
+    for _ in 0..draws {
+        acc += draw(rng);
+    }
+    black_box(acc);
+    start.elapsed().as_secs_f64() * 1e9 / draws as f64
+}
+
+/// Best-of-rounds ns per draw for uniform `gen::<f64>` and for
+/// [`standard_normal`], on one seeded generator, rounds interleaved.
+fn measure_rng(draws: u64) -> (f64, f64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let (mut uniform_ns, mut normal_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..RNG_ROUNDS {
+        uniform_ns = uniform_ns.min(ns_per_draw(&mut rng, draws, |r| r.gen::<f64>()));
+        normal_ns = normal_ns.min(ns_per_draw(&mut rng, draws, standard_normal));
+    }
+    (uniform_ns, normal_ns)
+}
+
 fn json_number(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
@@ -187,6 +229,7 @@ fn main() -> ExitCode {
     // is the same number of frames for every tier so the ratios compare
     // identical work.
     let (frames, warmup_frames) = if smoke { (1_000, 500) } else { (8_000, 500) };
+    let rng_draws = if smoke { 2_000_000 } else { 20_000_000 };
 
     eprintln!("hotpath: {frames} water-station frames per tier (warm-up {warmup_frames})…");
     let scalar = measure_scalar(frames, warmup_frames);
@@ -200,15 +243,27 @@ fn main() -> ExitCode {
     let fast_speedup = fast.samples_per_s() / scalar.samples_per_s();
     eprintln!("  speedups: block {block_speedup:.2}×, fast {fast_speedup:.2}×");
 
+    let (uniform_ns, normal_ns) = measure_rng(rng_draws);
+    let normal_per_uniform = normal_ns / uniform_ns;
+    eprintln!(
+        "  rng: uniform {uniform_ns:.2} ns, normal {normal_ns:.2} ns \
+         (normal_per_uniform {normal_per_uniform:.2}×)"
+    );
+
     let json = format!(
         "{{\n  \"smoke\": {smoke},\n  \"profile\": \"water_station\",\n  \
          \"frames\": {frames},\n  \"scalar\": {},\n  \"block\": {},\n  \"fast\": {},\n  \
-         \"block_speedup\": {},\n  \"fast_speedup\": {}\n}}\n",
+         \"block_speedup\": {},\n  \"fast_speedup\": {},\n  \
+         \"rng\": {{\"draws\": {rng_draws}, \"uniform_ns\": {}, \"normal_ns\": {}}},\n  \
+         \"normal_per_uniform\": {}\n}}\n",
         tier_json(&scalar),
         tier_json(&block),
         tier_json(&fast),
         json_number(block_speedup),
         json_number(fast_speedup),
+        json_number(uniform_ns),
+        json_number(normal_ns),
+        json_number(normal_per_uniform),
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
@@ -224,19 +279,27 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        for (name, fresh) in [
-            ("block_speedup", block_speedup),
-            ("fast_speedup", fast_speedup),
+        // (name, fresh value, whether a larger value is better)
+        for (name, fresh, higher_is_better) in [
+            ("block_speedup", block_speedup, true),
+            ("fast_speedup", fast_speedup, true),
+            ("normal_per_uniform", normal_per_uniform, false),
         ] {
             let Some(expected) = parse_number(&baseline, name) else {
                 eprintln!("baseline {baseline_path} has no {name}");
                 return ExitCode::FAILURE;
             };
-            let floor = expected * (1.0 - REGRESSION_TOLERANCE);
-            if fresh < floor {
+            let (limit, regressed) = if higher_is_better {
+                let floor = expected * (1.0 - REGRESSION_TOLERANCE);
+                (floor, fresh < floor)
+            } else {
+                let ceiling = expected * (1.0 + REGRESSION_TOLERANCE);
+                (ceiling, fresh > ceiling)
+            };
+            if regressed {
                 eprintln!(
                     "hot-path {name} regressed: {fresh:.2}× vs baseline {expected:.2}× \
-                     (floor {floor:.2}×)"
+                     (limit {limit:.2}×)"
                 );
                 return ExitCode::FAILURE;
             }

@@ -313,16 +313,52 @@ mod tests {
                 event.maintenance.actions() > 0,
                 "{name}: the seasonal excursion must wake the event policy"
             );
+        }
+    }
 
-            // Hybrid acts at least as often as pure event-triggered (it
-            // carries the same triggers plus a backstop clock).
-            let hybrid = r.cell("hybrid", modality);
+    /// What `Hybrid` does guarantee relative to `EventTriggered`: with a
+    /// backstop period longer than the season the clock never fires, so
+    /// the two policies take bit-identical trajectories. (With a shorter
+    /// period no action-count ordering follows: a backstop refit
+    /// re-anchors the drift monitor and shifts every later event
+    /// trigger. The age bound the clock does give is pinned in
+    /// `rig::maintain`.)
+    #[test]
+    fn hybrid_without_its_clock_is_event_triggered() {
+        let (_, duration_s) = scale(Speed::Fast);
+        let grid = policies(duration_s);
+        let event = grid[2].1;
+        let Policy::EventTriggered {
+            on_degraded,
+            drift_threshold,
+            temp_delta_c,
+        } = event.policy
+        else {
+            panic!("grid[2] is the event-triggered policy");
+        };
+        let clockless = Maintenance {
+            policy: Policy::Hybrid {
+                period_s: duration_s * 2.0,
+                on_degraded,
+                drift_threshold,
+                temp_delta_c,
+            },
+            ..event
+        };
+        // Six lines cover two fouled ones (every third line from line 1).
+        for modality in [Modality::Cta, Modality::HeatPulse] {
+            let run = |m| fleet_spec(modality, m, "event_triggered", 6, duration_s).run();
+            let (e, h) = (run(event).unwrap(), run(clockless).unwrap());
+            let name = modality.name();
             assert!(
-                hybrid.maintenance.actions() >= event.maintenance.actions(),
-                "{name}: hybrid {:?} vs event {:?}",
-                hybrid.maintenance,
-                event.maintenance
+                e.aggregates.maintenance.actions() > 0,
+                "{name}: the identity must not be vacuous"
             );
+            assert_eq!(e.aggregates.maintenance, h.aggregates.maintenance, "{name}");
+            for (a, b) in e.lines.iter().zip(&h.lines) {
+                assert_eq!(a.meter_digest, b.meter_digest, "{name} line {}", a.line);
+                assert_eq!(a.maintenance, b.maintenance, "{name} line {}", a.line);
+            }
         }
     }
 }

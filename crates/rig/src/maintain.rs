@@ -586,6 +586,38 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_calibration_age_never_exceeds_its_period() {
+        // 0.2 s backstop = 100 control ticks at 2 ms, debounce one tick.
+        let cfg = Maintenance::new(Policy::Hybrid {
+            period_s: 0.2,
+            on_degraded: false,
+            drift_threshold: 0.05,
+            temp_delta_c: 1e9,
+        })
+        .with_min_service_interval(0.002);
+        let period = 100;
+        let mut eng = MaintenanceEngine::new(cfg, Seconds::new(0.002));
+        let mut m = drifted();
+        let mut oldest = 0;
+        for tick in 0u64..5_000 {
+            m.age += 1;
+            // Sub-threshold drift keeps a backstop refit effective; an
+            // irregular excursion fires event refits that re-anchor the
+            // clock mid-period.
+            m.drift = if tick % 173 == 0 { 0.10 } else { 0.01 };
+            oldest = oldest.max(m.age);
+            eng.service(&mut m);
+            assert!(m.age < period, "tick {tick}: age {} after service", m.age);
+        }
+        assert_eq!(oldest, period, "the backstop fires exactly at the period");
+        assert!(
+            m.refits > 5_000 / period,
+            "event refits ran in between the backstop ones: {}",
+            m.refits
+        );
+    }
+
+    #[test]
     fn min_service_interval_debounces() {
         let cfg = Maintenance::new(Policy::EventTriggered {
             on_degraded: true,

@@ -17,16 +17,22 @@ use hotwire::prelude::*;
 /// (installed King fit, drift monitor, calibration tick — 30 → 37
 /// words): the meter *behavior* is unchanged, but every absolute digest
 /// value moved with the schema.
+///
+/// Re-pinned again when every Gaussian draw moved from Box–Muller to the
+/// ziggurat `hotwire_physics::stochastic::standard_normal`: a normal now
+/// consumes a variable number of RNG words, so every noise sample — and
+/// with it every absolute digest — moved once. The jobs 1/2/3 identity
+/// below is unchanged.
 const PRE_REFACTOR_DIGESTS: [u64; 9] = [
-    0x4a04639dec284e32,
-    0xb6edb89026a1295d,
-    0x7124b5f69df296e9,
-    0x10edab2e6b2fc31d,
-    0x63fbdc34c6ffc704,
-    0x3b5d16112aea090b,
-    0x48d8e525c2de6c02,
-    0x2e076c00458a40ee,
-    0x0dbb1d8958392c9b,
+    0xf3e3a5516f7d9d30,
+    0xc8af2ad39c5276ec,
+    0xcc4ce4fc762e4ce0,
+    0x1666ec33d3afb366,
+    0x64e9cf938c494351,
+    0x1626932b4cc823a4,
+    0x5232979e9be67ced,
+    0xb3d04c02a375e89c,
+    0x9190d3729386ca75,
 ];
 
 /// A faulted fleet spec exercising the full fault matrix: windowed ADC and
