@@ -32,12 +32,17 @@
 //! ```sh
 //! cargo run -p hotwire-bench --release --bin fleet_bench
 //! cargo run -p hotwire-bench --release --bin fleet_bench -- --smoke --out out.json
-//! cargo run -p hotwire-bench --release --bin fleet_bench -- --smoke --check BENCH_fleet.json
+//! cargo run -p hotwire-bench --release --bin fleet_bench -- --smoke --out BENCH_fleet_ci.json --check BENCH_fleet.json
 //! ```
 //!
 //! `--check BASELINE` compares the freshly measured pinned-jobs lines/s
 //! against the committed baseline and exits non-zero if it regressed by
 //! more than 30 %.
+//!
+//! The baseline is read before the run writes its report, and `--check`
+//! refuses a baseline that is also the `--out` file (the default `--out`
+//! is the committed `BENCH_fleet.json`), which would gate the run against
+//! itself.
 //!
 //! # Kill-and-resume smoke
 //!
@@ -56,6 +61,7 @@
 //! ```
 
 use hotwire_bench::experiments::{f2_fleet, f4_maintenance};
+use hotwire_bench::report;
 use hotwire_core::config::{fnv1a64, AfeTier, FlowMeterConfig};
 use hotwire_rig::fleet::{FleetOutcome, FleetSpec, LineSummary, LineVariation};
 use hotwire_rig::{LineConfig, Modality, ReferenceKind, Scenario, Windows};
@@ -368,18 +374,6 @@ fn run_json(run: &FleetRun, jobs: usize) -> String {
     )
 }
 
-/// Pulls `"headline_lines_per_s": <number>` out of a baseline report
-/// without a JSON parser (the repo vendors no serde_json).
-fn parse_headline(baseline: &str) -> Option<f64> {
-    let key = "\"headline_lines_per_s\":";
-    let at = baseline.find(key)? + key.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut out_path = "BENCH_fleet.json".to_string();
@@ -436,6 +430,17 @@ fn main() -> ExitCode {
     if let Some(path) = checkpoint_path {
         return checkpoint_exercise(smoke, &path, kill_after_lines, &out_path);
     }
+
+    // Read the baseline before anything writes `--out`: with the default
+    // `--out` a `--check` of the committed report would otherwise compare
+    // the fresh run with itself.
+    let baseline = match report::load_baseline(check_path.as_deref(), &out_path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Same scenario seconds per line in both modes so lines/s stays
     // comparable between a committed full baseline and a smoke check.
@@ -672,15 +677,8 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {out_path}");
 
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) = parse_headline(&baseline) else {
+    if let (Some(baseline), Some(baseline_path)) = (baseline, check_path) {
+        let Some(expected) = report::parse_number(&baseline, "headline_lines_per_s") else {
             eprintln!("baseline {baseline_path} has no headline_lines_per_s");
             return ExitCode::FAILURE;
         };

@@ -11,26 +11,37 @@
 //! * **fast** — `step_frame` under the opt-in `AfeTier::Fast` tier
 //!   (quasi-static once-per-frame AFE, bounded-error).
 //!
-//! A fourth, machine-transferable figure prices the Gaussian generator
-//! every noise model draws through: `normal_per_uniform`, the ns per
-//! [`standard_normal`] divided by the ns per uniform `gen::<f64>` on the
-//! same generator.
+//! Two machine-transferable figures price the per-tick kernels against a
+//! uniform `gen::<f64>` draw on the same generator:
+//!
+//! * `normal_per_uniform` — ns per [`standard_normal`], the Gaussian
+//!   generator every noise model draws through;
+//! * `die_per_uniform` — ns per
+//!   [`MafDie::step`](hotwire_physics::MafDie::step) at the water-station
+//!   operating point, the die physics every exact-tier tick runs.
 //!
 //! ```sh
 //! cargo run -p hotwire-bench --release --bin hotpath_bench
 //! cargo run -p hotwire-bench --release --bin hotpath_bench -- --smoke --out out.json
-//! cargo run -p hotwire-bench --release --bin hotpath_bench -- --smoke --check BENCH_hotpath.json
+//! cargo run -p hotwire-bench --release --bin hotpath_bench -- --smoke --out BENCH_hotpath_ci.json --check BENCH_hotpath.json
 //! ```
 //!
 //! `--check BASELINE` gates the *ratios* (block/scalar and fast/scalar
-//! speedups, which may not fall; `normal_per_uniform`, which may not
-//! rise), not the absolute samples/s: ratios transfer between machines,
-//! absolute throughput does not. The generator needs its own gate because
-//! a slower normal slows the scalar denominator and so *raises*
-//! `fast_speedup`.
+//! speedups, which may not fall; `normal_per_uniform` and
+//! `die_per_uniform`, which may not rise), not the absolute samples/s:
+//! ratios transfer between machines, absolute throughput does not. The
+//! two kernels need their own gates because a slower kernel slows the
+//! scalar denominator and so *raises* `fast_speedup`.
+//!
+//! The baseline is read before the run writes its report, and `--check`
+//! refuses a baseline that is also the `--out` file (the default `--out`
+//! is the committed `BENCH_hotpath.json`), which would gate the run against
+//! itself.
 
+use hotwire_bench::report;
 use hotwire_core::config::AfeTier;
 use hotwire_core::{FlowMeter, FlowMeterConfig};
+use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::stochastic::standard_normal;
 use hotwire_physics::{MafParams, SensorEnvironment};
 use hotwire_units::MetersPerSecond;
@@ -43,20 +54,22 @@ const USAGE: &str = "usage: hotpath_bench [--smoke] [--out PATH] [--check BASELI
 options:
   --smoke          scaled-down frame count for CI
   --out PATH       where to write the JSON report (default: BENCH_hotpath.json)
-  --check BASELINE compare against a committed BENCH_hotpath.json; exit 1 if a
-                   speedup ratio fell, or normal_per_uniform rose, more than
-                   30 %";
+  --check BASELINE compare against a committed BENCH_hotpath.json (not the
+                   --out file); exit 1 if a speedup ratio fell, or
+                   normal_per_uniform or die_per_uniform rose, more than 30 %";
 
 /// Fraction of a baseline ratio the fresh measurement may lose (a
-/// speedup) or gain (`normal_per_uniform`) before `--check` fails.  The
+/// speedup) or gain (`normal_per_uniform`, `die_per_uniform`) before
+/// `--check` fails.  The
 /// gated quantities are *ratios* measured in the same process, so
 /// machine speed cancels out — but scheduling noise on shared CI runners
 /// still swings the block ratio by ±15 % run to run, hence the wide band.
 /// The gate exists to catch structural regressions (an accidental
 /// de-fusing of the AFE chain halves the block ratio; losing the fast
 /// tier's table drops its ratio by 100×; Box–Muller in place of the
-/// ziggurat multiplies `normal_per_uniform` by ≈6), not single-digit
-/// drift.
+/// ziggurat multiplies `normal_per_uniform` by ≈6; a transcendental back
+/// in the die's per-tick path roughly doubles `die_per_uniform`), not
+/// single-digit drift.
 const REGRESSION_TOLERANCE: f64 = 0.30;
 
 /// Seed shared by all three meters so they regulate the same plant, and
@@ -151,16 +164,36 @@ fn ns_per_draw<R, F: FnMut(&mut R) -> f64>(rng: &mut R, draws: u64, mut draw: F)
     start.elapsed().as_secs_f64() * 1e9 / draws as f64
 }
 
-/// Best-of-rounds ns per draw for uniform `gen::<f64>` and for
-/// [`standard_normal`], on one seeded generator, rounds interleaved.
-fn measure_rng(draws: u64) -> (f64, f64) {
+/// Best-of-rounds ns per uniform `gen::<f64>` and per [`standard_normal`]
+/// (`draws` calls each on one seeded generator) and per
+/// [`MafDie::step`](hotwire_physics::MafDie::step) (`die_steps` modulator
+/// ticks of the settled water-station meter's die at its loop's bridge
+/// powers), rounds interleaved.
+fn measure_kernels(draws: u64, die_steps: u64) -> (f64, f64, f64) {
+    let mut meter = settled_meter(AfeTier::Exact, 500);
+    let mut die = meter.die().clone();
+    let supply = meter.platform_mut().supply_voltage();
+    let rt = die.reference_resistance();
+    let power = |id| {
+        meter
+            .bridge()
+            .solve(supply, die.heater_resistance(id), rt)
+            .heater_power
+    };
+    let (p_a, p_b) = (power(HeaterId::A), power(HeaterId::B));
+    let dt = meter.config().modulator_rate.period();
+    let env = bench_env();
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let (mut uniform_ns, mut normal_ns) = (f64::INFINITY, f64::INFINITY);
+    let (mut uniform_ns, mut normal_ns, mut die_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..RNG_ROUNDS {
         uniform_ns = uniform_ns.min(ns_per_draw(&mut rng, draws, |r| r.gen::<f64>()));
         normal_ns = normal_ns.min(ns_per_draw(&mut rng, draws, standard_normal));
+        die_ns = die_ns.min(ns_per_draw(&mut rng, die_steps, |r| {
+            die.step(dt, p_a, p_b, env, r);
+            die.heater_temperature(HeaterId::A).get()
+        }));
     }
-    (uniform_ns, normal_ns)
+    (uniform_ns, normal_ns, die_ns)
 }
 
 fn json_number(x: f64) -> String {
@@ -178,18 +211,6 @@ fn tier_json(run: &TierRun) -> String {
         json_number(run.wall_s),
         json_number(run.samples_per_s())
     )
-}
-
-/// Pulls `"<key>": <number>` out of a baseline report without a JSON
-/// parser (the repo vendors no serde_json).
-fn parse_number(baseline: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = baseline.find(&needle)? + needle.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -230,6 +251,15 @@ fn main() -> ExitCode {
     // identical work.
     let (frames, warmup_frames) = if smoke { (1_000, 500) } else { (8_000, 500) };
     let rng_draws = if smoke { 2_000_000 } else { 20_000_000 };
+    let die_steps = rng_draws / 4;
+
+    let baseline = match report::load_baseline(check_path.as_deref(), &out_path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     eprintln!("hotpath: {frames} water-station frames per tier (warm-up {warmup_frames})…");
     let scalar = measure_scalar(frames, warmup_frames);
@@ -243,11 +273,13 @@ fn main() -> ExitCode {
     let fast_speedup = fast.samples_per_s() / scalar.samples_per_s();
     eprintln!("  speedups: block {block_speedup:.2}×, fast {fast_speedup:.2}×");
 
-    let (uniform_ns, normal_ns) = measure_rng(rng_draws);
+    let (uniform_ns, normal_ns, die_ns) = measure_kernels(rng_draws, die_steps);
     let normal_per_uniform = normal_ns / uniform_ns;
+    let die_per_uniform = die_ns / uniform_ns;
     eprintln!(
-        "  rng: uniform {uniform_ns:.2} ns, normal {normal_ns:.2} ns \
-         (normal_per_uniform {normal_per_uniform:.2}×)"
+        "  kernels: uniform {uniform_ns:.2} ns, normal {normal_ns:.2} ns \
+         (normal_per_uniform {normal_per_uniform:.2}×), die step {die_ns:.2} ns \
+         (die_per_uniform {die_per_uniform:.2}×)"
     );
 
     let json = format!(
@@ -255,7 +287,9 @@ fn main() -> ExitCode {
          \"frames\": {frames},\n  \"scalar\": {},\n  \"block\": {},\n  \"fast\": {},\n  \
          \"block_speedup\": {},\n  \"fast_speedup\": {},\n  \
          \"rng\": {{\"draws\": {rng_draws}, \"uniform_ns\": {}, \"normal_ns\": {}}},\n  \
-         \"normal_per_uniform\": {}\n}}\n",
+         \"normal_per_uniform\": {},\n  \
+         \"die\": {{\"steps\": {die_steps}, \"step_ns\": {}}},\n  \
+         \"die_per_uniform\": {}\n}}\n",
         tier_json(&scalar),
         tier_json(&block),
         tier_json(&fast),
@@ -264,6 +298,8 @@ fn main() -> ExitCode {
         json_number(uniform_ns),
         json_number(normal_ns),
         json_number(normal_per_uniform),
+        json_number(die_ns),
+        json_number(die_per_uniform),
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
@@ -271,21 +307,15 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {out_path}");
 
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let (Some(baseline), Some(baseline_path)) = (baseline, check_path) {
         // (name, fresh value, whether a larger value is better)
         for (name, fresh, higher_is_better) in [
             ("block_speedup", block_speedup, true),
             ("fast_speedup", fast_speedup, true),
             ("normal_per_uniform", normal_per_uniform, false),
+            ("die_per_uniform", die_per_uniform, false),
         ] {
-            let Some(expected) = parse_number(&baseline, name) else {
+            let Some(expected) = report::parse_number(&baseline, name) else {
                 eprintln!("baseline {baseline_path} has no {name}");
                 return ExitCode::FAILURE;
             };

@@ -16,13 +16,19 @@
 //! ```sh
 //! cargo run -p hotwire-bench --release --bin record_bench
 //! cargo run -p hotwire-bench --release --bin record_bench -- --smoke --out out.json
-//! cargo run -p hotwire-bench --release --bin record_bench -- --smoke --check BENCH_record.json
+//! cargo run -p hotwire-bench --release --bin record_bench -- --smoke --out BENCH_record_ci.json --check BENCH_record.json
 //! ```
 //!
 //! `--check BASELINE` compares the freshly measured record-path throughput
 //! against the committed baseline and exits non-zero if it regressed by
 //! more than 10 %.
+//!
+//! The baseline is read before the run writes its report, and `--check`
+//! refuses a baseline that is also the `--out` file (the default `--out`
+//! is the committed `BENCH_record.json`), which would gate the run against
+//! itself.
 
+use hotwire_bench::report;
 use hotwire_core::config::FlowMeterConfig;
 use hotwire_core::HealthState;
 use hotwire_rig::{
@@ -158,18 +164,6 @@ fn path_json(run: &PathRun) -> String {
     )
 }
 
-/// Pulls `"headline_samples_per_s": <number>` out of a baseline report
-/// without a JSON parser (the repo vendors no serde_json).
-fn parse_headline(baseline: &str) -> Option<f64> {
-    let key = "\"headline_samples_per_s\":";
-    let at = baseline.find(key)? + key.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut out_path = "BENCH_record.json".to_string();
@@ -202,6 +196,17 @@ fn main() -> ExitCode {
             }
         }
     }
+
+    // Read the baseline before anything writes `--out`: with the default
+    // `--out` a `--check` of the committed report would otherwise compare
+    // the fresh run with itself.
+    let baseline = match report::load_baseline(check_path.as_deref(), &out_path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let synthetic_n: u64 = if smoke { 200_000 } else { 2_000_000 };
     let end_to_end_s = if smoke { 120.0 } else { 600.0 };
@@ -296,15 +301,8 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {out_path}");
 
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) = parse_headline(&baseline) else {
+    if let (Some(baseline), Some(baseline_path)) = (baseline, check_path) {
+        let Some(expected) = report::parse_number(&baseline, "headline_samples_per_s") else {
             eprintln!("baseline {baseline_path} has no headline_samples_per_s");
             return ExitCode::FAILURE;
         };

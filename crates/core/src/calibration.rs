@@ -12,7 +12,9 @@
 
 use crate::CoreError;
 use hotwire_isif::eeprom::CalibrationStore;
-use hotwire_units::{KelvinDelta, MetersPerSecond, ThermalConductance, Watts};
+use hotwire_physics::fluid::Water;
+use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
+use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, ThermalConductance, Watts};
 
 /// A fitted King's-law calibration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -149,22 +151,36 @@ impl KingCalibration {
     #[must_use]
     pub fn compensated_for(
         &self,
-        fluid_estimate: hotwire_units::Celsius,
-        calibration_temperature: hotwire_units::Celsius,
+        fluid_estimate: Celsius,
+        calibration_temperature: Celsius,
     ) -> Self {
-        use hotwire_physics::fluid::Water;
-        use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
-        let half = KelvinDelta::new(self.overheat.get() / 2.0);
-        let geometry = WireGeometry::maf_heater();
-        let at = KingsLaw::from_kramers(&Water::potable(), fluid_estimate + half, geometry);
-        let cal =
-            KingsLaw::from_kramers(&Water::potable(), calibration_temperature + half, geometry);
+        self.compensated_against(fluid_estimate, &self.film_law(calibration_temperature))
+    }
+
+    /// [`compensated_for`](Self::compensated_for) against a precomputed
+    /// calibration-temperature law, `reference = self.film_law(T_cal)`;
+    /// bit-identical to it.
+    #[must_use]
+    pub fn compensated_against(&self, fluid_estimate: Celsius, reference: &KingsLaw) -> Self {
+        let at = self.film_law(fluid_estimate);
         KingCalibration {
-            a: self.a * at.a() / cal.a(),
-            b: self.b * at.b() / cal.b(),
+            a: self.a * at.a() / reference.a(),
+            b: self.b * at.b() / reference.b(),
             n: self.n,
             overheat: self.overheat,
         }
+    }
+
+    /// The Kramers law in potable water at the film temperature of a wire
+    /// at this calibration's overheat above `fluid` (fluid + half the
+    /// overheat). At the calibration temperature it is the fixed
+    /// denominator of [`compensated_for`](Self::compensated_for): it
+    /// depends only on that temperature and the fitted overheat, so a meter
+    /// derives it once per installed calibration and decodes every control
+    /// tick through [`compensated_against`](Self::compensated_against).
+    pub fn film_law(&self, fluid: Celsius) -> KingsLaw {
+        let half = KelvinDelta::new(self.overheat.get() / 2.0);
+        KingsLaw::from_kramers(&Water::potable(), fluid + half, WireGeometry::maf_heater())
     }
 
     /// Persists the calibration to the platform EEPROM, writing the primary

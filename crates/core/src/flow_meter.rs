@@ -152,6 +152,10 @@ pub struct FlowMeter {
     direction: DirectionDetector,
     pulsed: Option<PulsedScheduler>,
     calibration: Option<KingCalibration>,
+    /// The installed calibration's [`film_law`](KingCalibration::film_law)
+    /// at the configured calibration temperature, derived once per install,
+    /// refit or reload instead of on every compensated decode.
+    calibration_reference: KingsLaw,
     spikes: SpikeMonitor,
     drift: DriftMonitor,
     saturation: SaturationMonitor,
@@ -316,6 +320,7 @@ impl FlowMeter {
             direction: DirectionDetector::new(config.direction_deadband, 8),
             pulsed: config.pulsed.map(PulsedScheduler::new),
             calibration: Some(factory),
+            calibration_reference: factory.film_law(config.calibration_temperature),
             // Threshold sized ~5σ above the turbulence-driven supply swing
             // so the flag reacts to detachment events, not ordinary flow
             // noise.
@@ -467,6 +472,11 @@ impl FlowMeter {
             env,
             &mut self.rng,
         );
+        // Scale deposits once per frame, on the tick that closes it — the
+        // same point in the die's trajectory as the frame walks.
+        if self.mod_phase == 0 {
+            self.die.deposit_scale(self.frame_dt());
+        }
 
         let ctrl_diff = (out_a.differential + out_b.differential) * 0.5;
         let dir_diff = out_a.differential - out_b.differential;
@@ -537,6 +547,13 @@ impl FlowMeter {
         self.config.decimation
     }
 
+    /// Duration of one control frame — the interval scale deposits over,
+    /// once per frame, in every step path.
+    #[inline]
+    fn frame_dt(&self) -> Seconds {
+        Seconds::new(self.dt.get() * self.config.decimation as f64)
+    }
+
     /// Advances one full decimation frame — `decimation` modulator ticks —
     /// and returns the control-tick measurement the frame ends on.
     ///
@@ -548,7 +565,9 @@ impl FlowMeter {
     /// per-channel block kernels, whose floating-point chains are mutually
     /// independent. At [`AfeTier::Fast`] the AFE is instead evaluated
     /// quasi-statically once per frame — a bounded-error approximation for
-    /// fleet-scale studies.
+    /// fleet-scale studies. Both tiers, and the scalar path, deposit scale
+    /// once per frame over the frame's duration, after the frame's last die
+    /// step ([`MafDie::deposit_scale`]).
     ///
     /// Analog inputs are held piecewise-constant across the frame, exactly
     /// as the scalar path sees them: the supply code only changes on control
@@ -608,6 +627,7 @@ impl FlowMeter {
                 self.frame.noises.lane_mut(lane)[k] = chan.draw_noise(&mut self.rng);
             }
         }
+        self.die.deposit_scale(self.frame_dt());
 
         // Frame-aligned channels emit exactly one code per block.
         let dir_code = self.sample_lane(DIR_CHANNEL, overtemp);
@@ -653,7 +673,7 @@ impl FlowMeter {
         let rt = self.die.reference_resistance();
         let out_a = self.bridge.solve(supply, rh_a, rt);
         let out_b = self.bridge.solve(supply, rh_b, rt);
-        let frame_dt = Seconds::new(self.dt.get() * self.config.decimation as f64);
+        let frame_dt = self.frame_dt();
         self.die.step(
             frame_dt,
             out_a.heater_power,
@@ -661,6 +681,7 @@ impl FlowMeter {
             env,
             &mut self.rng,
         );
+        self.die.deposit_scale(frame_dt);
 
         let ctrl_diff = (out_a.differential + out_b.differential) * 0.5;
         let dir_diff = out_a.differential - out_b.differential;
@@ -854,23 +875,7 @@ impl FlowMeter {
                 )
             }
         };
-        let speed = self
-            .calibration
-            .as_ref()
-            .map(|c| {
-                if self.config.temperature_compensation
-                    && self.config.mode == OperatingMode::ConstantTemperature
-                {
-                    c.compensated_for(
-                        self.fluid_temperature_estimate(),
-                        self.config.calibration_temperature,
-                    )
-                    .velocity_from_conductance(conductance)
-                } else {
-                    c.velocity_from_conductance(conductance)
-                }
-            })
-            .unwrap_or(MetersPerSecond::ZERO);
+        let speed = self.decode_speed(conductance);
 
         let direction = if measure_now {
             let u = supply.get().max(0.2);
@@ -1031,21 +1036,36 @@ impl FlowMeter {
     /// operation averages over its short measurement window instead of
     /// waiting for the 0.1 Hz filter.
     pub fn instantaneous_speed(&self) -> MetersPerSecond {
-        let g = self.instantaneous_conductance();
+        self.decode_speed(self.instantaneous_conductance())
+    }
+
+    /// The speed the installed calibration decodes from conductance `g`,
+    /// property-compensated to the fluid-temperature estimate when the
+    /// loop compensates (bit-identical to
+    /// [`KingCalibration::compensated_for`], with its calibration-temperature
+    /// law taken from the install-time cache).
+    fn decode_speed(&self, g: ThermalConductance) -> MetersPerSecond {
         match self.calibration.as_ref() {
             Some(c)
                 if self.config.temperature_compensation
                     && self.config.mode == OperatingMode::ConstantTemperature =>
             {
-                c.compensated_for(
+                c.compensated_against(
                     self.fluid_temperature_estimate(),
-                    self.config.calibration_temperature,
+                    &self.calibration_reference,
                 )
                 .velocity_from_conductance(g)
             }
             Some(c) => c.velocity_from_conductance(g),
             None => MetersPerSecond::ZERO,
         }
+    }
+
+    /// Installs `cal` as the active calibration and derives its
+    /// compensation reference law.
+    fn install_calibration(&mut self, cal: KingCalibration) {
+        self.calibration_reference = cal.film_law(self.config.calibration_temperature);
+        self.calibration = Some(cal);
     }
 
     /// Total electrical power currently drawn from the supply by the two
@@ -1100,7 +1120,7 @@ impl FlowMeter {
             self.fluid_temp_estimate - self.config.calibration_temperature.get();
         let cal = KingCalibration::fit(points, self.config.overheat)?;
         cal.store(self.platform.eeprom_mut())?;
-        self.calibration = Some(cal);
+        self.install_calibration(cal);
         self.cal_tick = self.control_tick;
         // The calibration procedure slews the line hard between setpoints;
         // whatever the monitors latched during it is procedure noise, not a
@@ -1123,7 +1143,7 @@ impl FlowMeter {
     pub fn reload_calibration(&mut self) -> Result<(), CoreError> {
         let outcome = match KingCalibration::load(self.platform.eeprom()) {
             Ok(cal) => {
-                self.calibration = Some(cal);
+                self.install_calibration(cal);
                 self.observe(EventKind::CalibrationReloaded {
                     slot: CalSlot::Primary,
                 });
@@ -1137,7 +1157,7 @@ impl FlowMeter {
                     // Repair the primary from the surviving mirror so the
                     // next power cycle reads clean again.
                     cal.store_slot(self.platform.eeprom_mut(), KingCalibration::EEPROM_SLOT)?;
-                    self.calibration = Some(cal);
+                    self.install_calibration(cal);
                     self.health.note_eeprom_fallback();
                     self.observe(EventKind::CalibrationReloaded {
                         slot: CalSlot::Redundant,
@@ -1188,11 +1208,12 @@ impl FlowMeter {
         if d == 0.0 {
             return false;
         }
-        let Some(cal) = self.calibration.as_mut() else {
+        let Some(mut cal) = self.calibration else {
             return false;
         };
         cal.a *= 1.0 + d;
         cal.b *= 1.0 + d;
+        self.install_calibration(cal);
         self.drift.re_zero();
         self.cal_tick = self.control_tick;
         true
@@ -1554,6 +1575,106 @@ mod tests {
             assert_eq!(mf.health, HealthState::Healthy, "at {v} cm/s");
             assert!(!mf.faults.loop_saturated, "at {v} cm/s");
         }
+    }
+
+    /// A meter on a bare (unpassivated) die in the hard potable water every
+    /// meter runs in — the fastest-fouling face.
+    fn bare_meter(tier: crate::config::AfeTier, seed: u64) -> FlowMeter {
+        let config = FlowMeterConfig {
+            afe_tier: tier,
+            ..FlowMeterConfig::test_profile()
+        };
+        let params = MafParams {
+            passivation: hotwire_physics::fouling::Passivation::Bare,
+            ..MafParams::nominal()
+        };
+        FlowMeter::new(config, params, seed).unwrap()
+    }
+
+    #[test]
+    fn scalar_steps_deposit_scale_like_step_frame() {
+        use crate::config::AfeTier;
+        let mut scalar = bare_meter(AfeTier::Exact, 17);
+        let mut framed = bare_meter(AfeTier::Exact, 17);
+        assert!(scalar.die().fluid().hardness_f() > 0.0, "hard water");
+        let e = env(90.0);
+        for frame in 0..1200u32 {
+            let mut last = None;
+            for _ in 0..scalar.ticks_per_frame() {
+                if let Some(m) = scalar.step(e) {
+                    last = Some(m);
+                }
+            }
+            assert_eq!(last, Some(framed.step_frame(e)), "frame {frame}");
+        }
+        for id in [HeaterId::A, HeaterId::B] {
+            let (s, f) = (
+                scalar.die().fouling_thickness_um(id),
+                framed.die().fouling_thickness_um(id),
+            );
+            assert_eq!(s.to_bits(), f.to_bits(), "{id:?}: {s} vs {f} µm");
+            assert!(s > 0.0, "{id:?}: a bare die in hard water must foul");
+        }
+        assert_eq!(scalar.state_digest(), framed.state_digest());
+    }
+
+    #[test]
+    fn exact_and_fast_tiers_deposit_alike() {
+        use crate::config::AfeTier;
+        let mut exact = bare_meter(AfeTier::Exact, 23);
+        let mut fast = bare_meter(AfeTier::Fast, 23);
+        let e = env(120.0);
+        exact.run(2.0, e);
+        fast.run(2.0, e);
+        for id in [HeaterId::A, HeaterId::B] {
+            let (x, f) = (
+                exact.die().fouling_thickness_um(id),
+                fast.die().fouling_thickness_um(id),
+            );
+            assert!(x > 0.0 && f > 0.0, "{id:?}: both tiers must foul");
+            assert!(
+                (f - x).abs() < 0.01 * x,
+                "{id:?}: fast {f:e} µm vs exact {x:e} µm"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_compensation_decodes_like_compensated_for() {
+        let config = FlowMeterConfig {
+            temperature_compensation: true,
+            ..FlowMeterConfig::test_profile()
+        };
+        let mut m = FlowMeter::new(config, MafParams::nominal(), 31).unwrap();
+        let t_cal = m.config().calibration_temperature;
+        let check = |m: &mut FlowMeter| {
+            for tenth in 50..=350 {
+                let t = Celsius::new(f64::from(tenth) / 10.0);
+                m.adopt_fluid_estimate(t);
+                let cal = *m.calibration().unwrap();
+                let g = m.instantaneous_conductance();
+                let fresh = cal
+                    .compensated_for(m.fluid_temperature_estimate(), t_cal)
+                    .velocity_from_conductance(g);
+                assert_eq!(
+                    m.instantaneous_speed().get().to_bits(),
+                    fresh.get().to_bits(),
+                    "at {t}"
+                );
+            }
+        };
+        m.run(0.3, env(100.0));
+        assert!(m.instantaneous_conductance().get() > 0.0);
+        check(&mut m);
+        // A different overheat moves the reference law; a reload must
+        // re-derive it.
+        let other = KingCalibration {
+            overheat: hotwire_units::KelvinDelta::new(20.0),
+            ..*m.calibration().unwrap()
+        };
+        other.store(m.platform_mut().eeprom_mut()).unwrap();
+        m.reload_calibration().unwrap();
+        check(&mut m);
     }
 
     #[test]

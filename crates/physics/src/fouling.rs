@@ -17,6 +17,14 @@
 //! ≪1 for the inert SiN passivation). Bubble coverage locally concentrates
 //! the reaction (the paper notes the effect "is enforced by the concomitant
 //! deposition"), modelled as a multiplicative enhancement.
+//!
+//! Time scale: scale builds over months (≈0.003 µm/h on a bare 30 °C wall
+//! in 30 °f water), bubbles over milliseconds. The die therefore does not
+//! deposit on its modulator-rate step; its owner integrates
+//! [`FoulingLayer::step`] once per control frame through
+//! [`MafDie::deposit_scale`](crate::MafDie::deposit_scale), at the frame's
+//! closing wall temperature and bubble coverage. Within a frame the
+//! deposit — and so the series resistance it adds — is constant.
 
 use crate::error::{ensure_in_range, ensure_positive};
 use crate::PhysicsError;

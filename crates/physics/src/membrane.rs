@@ -97,38 +97,70 @@ impl SurfaceCondition {
     }
 }
 
-/// One-entry memo for the exponential-Euler decay factor `exp(−dt/τ)`.
+/// One-entry memo of a node's frame-invariant heat-balance chain: the
+/// surface-degraded convection `G_conv`, the total conductance `G_tot` and
+/// the exponential-Euler decay factor `exp(−dt/τ)`.
 ///
-/// Between control ticks the drive and surface state of a membrane node are
-/// bit-for-bit constant, so `dt` and `G_tot` — the only inputs to the decay —
-/// repeat exactly. Keying on their raw bit patterns lets the modulator-rate
-/// hot loop skip the `exp` on every repeated tick without changing a single
-/// result bit: a hit returns the very value a recomputation would produce.
+/// Within a control frame the step `dt`, the ideal King's-law conductance
+/// and the surface condition (bubble coverage, fouling resistance) are
+/// bit-for-bit constant between bubble events — scale only deposits once
+/// per frame. Keying on their raw bit patterns lets the modulator-rate hot
+/// loop skip the division chain and the `exp` on every repeated tick,
+/// leaving one division for `T_inf`, without changing a single result bit:
+/// a hit returns the very values a recomputation would produce. The
+/// membrane parameters are not part of the key; a cache belongs to one
+/// node, whose parameters are fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct DecayCache {
-    key: (u64, u64),
-    value: f64,
+    /// Bits of (`dt`, ideal conductance, bubble coverage, fouling
+    /// resistance).
+    key: [u64; 4],
+    g_conv: f64,
+    g_tot: f64,
+    decay: f64,
 }
 
 impl DecayCache {
     /// An empty cache (first lookup always misses).
     pub const fn empty() -> Self {
-        // NaN bit patterns — never produced by a real (dt, G_tot) pair.
+        // NaN bit patterns — never produced by a real step.
         DecayCache {
-            key: (u64::MAX, u64::MAX),
-            value: 0.0,
+            key: [u64::MAX; 4],
+            g_conv: 0.0,
+            g_tot: 0.0,
+            decay: 0.0,
         }
     }
 
+    /// `(G_conv, G_tot, decay)` for one node step, recomputed only when an
+    /// input's bit pattern changed.
     #[inline]
-    fn decay(&mut self, dt: f64, g_tot: f64, heat_capacity: f64) -> f64 {
-        let key = (dt.to_bits(), g_tot.to_bits());
+    fn chain(
+        &mut self,
+        dt: f64,
+        ideal: ThermalConductance,
+        surface: SurfaceCondition,
+        params: &MembraneParams,
+    ) -> (f64, f64, f64) {
+        let key = [
+            dt.to_bits(),
+            ideal.get().to_bits(),
+            surface.bubble_coverage.to_bits(),
+            surface.fouling_resistance.get().to_bits(),
+        ];
         if self.key != key {
-            let tau = heat_capacity / g_tot;
-            self.key = key;
-            self.value = (-dt / tau).exp();
+            let g_conv = surface.effective_conductance(ideal);
+            let g_sub = params.substrate_conductance + params.backside_conductance;
+            let g_tot = g_conv + g_sub;
+            let tau = params.heat_capacity.get() / g_tot.get();
+            *self = DecayCache {
+                key,
+                g_conv: g_conv.get(),
+                g_tot: g_tot.get(),
+                decay: (-dt / tau).exp(),
+            };
         }
-        self.value
+        (self.g_conv, self.g_tot, self.decay)
     }
 }
 
@@ -196,13 +228,14 @@ impl MembraneState {
     }
 
     /// [`step`](Self::step) with the ideal King's-law conductance precomputed
-    /// by the caller and the decay exponential memoized through `cache`.
+    /// by the caller and the frame-invariant chain memoized through `cache`.
     ///
     /// Bit-identical to `step` when `ideal == king.conductance(v)`: a cache
-    /// miss performs exactly the same `τ = C/G_tot`, `exp(−dt/τ)` sequence,
-    /// and a hit returns the bit-equal stored value. This is the die's
-    /// modulator-rate entry point — the caller hoists the (per-control-tick
-    /// constant) King evaluation and each node keeps its own cache.
+    /// miss performs exactly the same `G_conv`, `G_tot`, `τ = C/G_tot`,
+    /// `exp(−dt/τ)` sequence, and a hit returns the bit-equal stored values.
+    /// This is the die's modulator-rate entry point — the caller hoists the
+    /// (per-control-tick constant) King evaluation and each node keeps its
+    /// own cache.
     #[allow(clippy::too_many_arguments)] // mirrors the physical heat-balance terms
     pub fn step_cached(
         &mut self,
@@ -215,15 +248,12 @@ impl MembraneState {
         t_rim: Celsius,
         cache: &mut DecayCache,
     ) -> ThermalConductance {
-        let g_conv = surface.effective_conductance(ideal);
+        let (g_conv, g_tot, decay) = cache.chain(dt.get(), ideal, surface, params);
         let g_sub = params.substrate_conductance + params.backside_conductance;
-        let g_tot = g_conv + g_sub;
         // T_inf = (P + G_sub·T_rim + G_conv·T_fluid) / G_tot
-        let t_inf =
-            (p_el.get() + g_sub.get() * t_rim.get() + g_conv.get() * t_fluid.get()) / g_tot.get();
-        let decay = cache.decay(dt.get(), g_tot.get(), params.heat_capacity.get());
+        let t_inf = (p_el.get() + g_sub.get() * t_rim.get() + g_conv * t_fluid.get()) / g_tot;
         self.temperature = Celsius::new(t_inf + (self.temperature.get() - t_inf) * decay);
-        g_conv
+        ThermalConductance::new(g_conv)
     }
 
     /// The steady-state temperature the node would reach at constant drive.
@@ -423,18 +453,19 @@ mod tests {
     fn cached_step_is_bit_identical_to_step() {
         let (params, king) = setup();
         let fluid = Celsius::new(15.0);
-        let v = MetersPerSecond::new(0.7);
         let mut plain = MembraneState::at_equilibrium(fluid);
         let mut cached = MembraneState::at_equilibrium(fluid);
         let mut cache = DecayCache::empty();
-        let surface = SurfaceCondition {
-            bubble_coverage: 0.2,
-            fouling_resistance: ThermalResistance::new(10.0),
-        };
-        let dt = Seconds::from_micros(4.0);
         for i in 0..500 {
-            // Vary the drive so t_inf moves while (dt, G_tot) stays cached.
+            // Vary the drive so t_inf moves while the chain stays cached,
+            // and move each memo input in turn so the key must catch it.
             let p = Watts::new(0.01 + 1e-4 * (i % 7) as f64);
+            let surface = SurfaceCondition {
+                bubble_coverage: if i < 200 { 0.2 } else { 0.25 },
+                fouling_resistance: ThermalResistance::new(if i < 300 { 10.0 } else { 12.0 }),
+            };
+            let dt = Seconds::from_micros(if i < 400 { 4.0 } else { 8.0 });
+            let v = MetersPerSecond::new(if i < 100 { 0.7 } else { 0.9 });
             let g_plain = plain.step(dt, p, &params, &king, v, surface, fluid, fluid);
             let g_cached = cached.step_cached(
                 dt,

@@ -11,6 +11,15 @@
 //! The die exposes a purely electrical port: the analog front end applies
 //! power to each heater and reads back resistances; everything thermal stays
 //! in here.
+//!
+//! Two rates: [`MafDie::step`] runs every modulator tick — membrane heat
+//! balance, bubbles and the reference lag — while CaCO₃ scale, which builds
+//! over months, deposits once per control frame through
+//! [`MafDie::deposit_scale`]. Within a frame the per-tick step is therefore
+//! transcendental-free: the King's-law conductance and advective coupling
+//! memoize on the velocity, and each node's convection chain (`G_conv`,
+//! `G_tot`, decay) on its bit-exact inputs ([`DecayCache`]), leaving one
+//! division per node for the equilibrium temperature.
 
 use crate::bubbles::{BubbleLayer, BubbleParams};
 use crate::fluid::{Air, Fluid, FluidProperties, Water};
@@ -207,9 +216,10 @@ struct HeaterChannel {
     bubbles: BubbleLayer,
     fouling: FoulingLayer,
     last_conductance: ThermalConductance,
-    /// Per-node memo for the exponential-Euler decay factor — the inputs
-    /// repeat bit-for-bit between control ticks, so the modulator-rate loop
-    /// skips the `exp` on hits without changing any result bit.
+    /// Per-node memo of the frame-invariant convection chain (`G_conv`,
+    /// `G_tot`, decay) — its inputs repeat bit-for-bit within a control
+    /// frame, so the modulator-rate loop skips the divisions and the `exp`
+    /// on hits without changing any result bit.
     decay_cache: DecayCache,
 }
 
@@ -259,11 +269,13 @@ pub struct MafDie {
     reference_temperature: Celsius,
     king: KingsLaw,
     king_film_temp: f64,
-    /// Memo of the last King's-law evaluation, keyed on the velocity's bit
-    /// pattern. The velocity only changes at the control/environment rate,
-    /// so the modulator-rate loop skips the `powf` on nearly every tick;
-    /// invalidated whenever the law is re-derived.
-    conductance_cache: Option<(u64, f64)>,
+    /// Memo of the last King's-law evaluation and advective coupling
+    /// fraction, keyed on the velocity's bit pattern: `(bits, G_ideal,
+    /// coupling)`. The velocity only changes at the control/environment
+    /// rate, so the modulator-rate loop skips the `powf` and the coupling
+    /// division on nearly every tick; invalidated whenever the law is
+    /// re-derived.
+    conductance_cache: Option<(u64, f64, f64)>,
     /// Memo of the reference-lag factor `exp(−dt/lag)`, keyed on the step's
     /// bit pattern (the lag itself is a fixed parameter).
     rho_cache: Option<(u64, f64)>,
@@ -397,7 +409,12 @@ impl MafDie {
     }
 
     /// Advances the die by `dt` with electrical powers applied to heaters A
-    /// and B, in the given environment.
+    /// and B, in the given environment: membrane heat balance, bubble
+    /// growth and detachment, and the reference-resistor lag.
+    ///
+    /// Scale does not deposit here — it builds over months, so callers
+    /// integrate it once per control frame through
+    /// [`deposit_scale`](Self::deposit_scale).
     ///
     /// The RNG drives bubble detachment; pass a seeded RNG for reproducible
     /// runs.
@@ -423,8 +440,24 @@ impl MafDie {
             self.conductance_cache = None;
         }
 
+        // Both nodes share the same ideal King's-law conductance at `v`, and
+        // the advective coupling depends on `v` alone — evaluate both once,
+        // through the bit-keyed memo (the velocity only changes at the
+        // environment rate, so the `powf` and the division almost always
+        // skip). A memo hit returns the exact values a recomputation would.
+        let v = env.velocity;
+        let v_bits = v.get().to_bits();
+        let (ideal, c) = match self.conductance_cache {
+            Some((bits, g, c)) if bits == v_bits => (ThermalConductance::new(g), c),
+            _ => {
+                let g = self.king.conductance(v);
+                let c = self.coupling(v);
+                self.conductance_cache = Some((v_bits, g.get(), c));
+                (g, c)
+            }
+        };
+
         // Advective coupling: downstream heater sees pre-heated fluid.
-        let c = self.coupling(env.velocity);
         let t_fluid = env.fluid_temperature;
         let (pre_a, pre_b) = if env.velocity.get() >= 0.0 {
             // A upstream, B downstream.
@@ -441,20 +474,6 @@ impl MafDie {
         let t_eff_a = Celsius::new(t_fluid.get() + pre_a);
         let t_eff_b = Celsius::new(t_fluid.get() + pre_b);
 
-        let v = env.velocity;
-        // Both nodes share the same ideal King's-law conductance at `v` —
-        // evaluate it once, through the bit-keyed memo (the velocity only
-        // changes at the environment rate, so the `powf` almost always
-        // skips). A memo hit returns the exact value a recomputation would.
-        let v_bits = v.get().to_bits();
-        let ideal = match self.conductance_cache {
-            Some((bits, g)) if bits == v_bits => ThermalConductance::new(g),
-            _ => {
-                let g = self.king.conductance(v);
-                self.conductance_cache = Some((v_bits, g.get()));
-                g
-            }
-        };
         let surface_a = self.heater_a.surface();
         let surface_b = self.heater_b.surface();
         self.heater_a.last_conductance = self.heater_a.membrane.step_cached(
@@ -478,19 +497,12 @@ impl MafDie {
             &mut self.heater_b.decay_cache,
         );
 
-        // Surface degradation follows wall temperature.
+        // Bubbles follow wall temperature on the millisecond scale.
         let onset = self.fluid.bubble_onset_temperature(env.pressure);
-        let hardness = self.fluid.hardness_f();
         let wall_a = self.heater_a.membrane.temperature();
         let wall_b = self.heater_b.membrane.temperature();
         self.heater_a.bubbles.step(dt, wall_a, onset, rng);
         self.heater_b.bubbles.step(dt, wall_b, onset, rng);
-        self.heater_a
-            .fouling
-            .step(dt, wall_a, hardness, self.heater_a.bubbles.coverage());
-        self.heater_b
-            .fouling
-            .step(dt, wall_b, hardness, self.heater_b.bubbles.coverage());
 
         // Reference resistor tracks the fluid with a first-order lag. The
         // lag factor depends only on `dt` (the lag is a fixed parameter), so
@@ -506,6 +518,24 @@ impl MafDie {
         };
         self.reference_temperature =
             Celsius::new(t_fluid.get() + (self.reference_temperature.get() - t_fluid.get()) * rho);
+    }
+
+    /// Deposits CaCO₃ scale on both heater faces over `dt`, at the present
+    /// wall temperatures and bubble coverages.
+    ///
+    /// Scale builds over months (≈0.003 µm/h on a bare 30 °C wall), so the
+    /// conditioning firmware's co-simulation calls this once per control
+    /// frame with the frame's duration rather than on every modulator
+    /// tick: the per-frame increment is ≈10⁻⁹ µm, and the fouling
+    /// resistance — an input of the membrane's memoized convection chain —
+    /// stays constant within the frame.
+    pub fn deposit_scale(&mut self, dt: Seconds) {
+        let hardness = self.fluid.hardness_f();
+        for ch in [&mut self.heater_a, &mut self.heater_b] {
+            let wall = ch.membrane.temperature();
+            let coverage = ch.bubbles.coverage();
+            ch.fouling.step(dt, wall, hardness, coverage);
+        }
     }
 
     /// Advances surface aging (fouling) by a coarse interval without
@@ -738,6 +768,93 @@ mod tests {
             "thickness {} µm",
             die.fouling_thickness_um(HeaterId::A)
         );
+    }
+
+    /// Drops every memo so the next step recomputes from scratch.
+    fn forget_memos(die: &mut MafDie) {
+        die.conductance_cache = None;
+        die.rho_cache = None;
+        die.heater_a.decay_cache = DecayCache::empty();
+        die.heater_b.decay_cache = DecayCache::empty();
+    }
+
+    fn state_bits(die: &MafDie) -> [u64; 7] {
+        [
+            die.heater_temperature(HeaterId::A).get().to_bits(),
+            die.heater_temperature(HeaterId::B).get().to_bits(),
+            die.last_conductance(HeaterId::A).get().to_bits(),
+            die.last_conductance(HeaterId::B).get().to_bits(),
+            die.reference_resistance().get().to_bits(),
+            die.bubble_coverage(HeaterId::A).to_bits(),
+            die.fouling_thickness_um(HeaterId::B).to_bits(),
+        ]
+    }
+
+    #[test]
+    fn memoized_step_is_bit_identical_to_fresh_memos() {
+        // Every memo input changes mid-run, each inside a stretch where the
+        // others hold still — the step, the velocity, the fouling thickness,
+        // then the bubble coverage (which keeps moving once a burst lands) —
+        // so a key missing any one of them would reuse a stale chain and
+        // split the two dies.
+        let params = MafParams {
+            passivation: Passivation::Bare,
+            ..MafParams::nominal()
+        };
+        let mut memo = MafDie::in_potable_water(params);
+        let mut fresh = memo.clone();
+        let (mut r_memo, mut r_fresh) = (rng(), rng());
+        let p = Watts::new(0.012);
+        for i in 0..4000u32 {
+            let v = if i < 1000 { 0.4 } else { 1.1 };
+            let dt = Seconds::from_micros(if i < 600 { 3.90625 } else { 15.625 });
+            let env = SensorEnvironment {
+                velocity: MetersPerSecond::new(v),
+                ..SensorEnvironment::still_water()
+            };
+            if i == 1300 {
+                memo.deposit_fouling(2.0);
+                fresh.deposit_fouling(2.0);
+            }
+            if i == 3000 {
+                memo.inject_bubble_burst(0.3);
+                fresh.inject_bubble_burst(0.3);
+            }
+            forget_memos(&mut fresh);
+            memo.step(dt, p, p, env, &mut r_memo);
+            fresh.step(dt, p, p, env, &mut r_fresh);
+            if i % 256 == 255 {
+                memo.deposit_scale(Seconds::new(dt.get() * 256.0));
+                fresh.deposit_scale(Seconds::new(dt.get() * 256.0));
+            }
+            assert_eq!(state_bits(&memo), state_bits(&fresh), "tick {i}");
+        }
+        assert!(memo.fouling_thickness_um(HeaterId::A) > 2.0);
+    }
+
+    #[test]
+    fn step_leaves_scale_to_deposit_scale() {
+        let params = MafParams {
+            passivation: Passivation::Bare,
+            ..MafParams::nominal()
+        };
+        let mut die = MafDie::in_potable_water(params);
+        let mut r = rng();
+        let env = SensorEnvironment::still_water();
+        settle(&mut die, Watts::new(0.01), env, &mut r);
+        assert_eq!(die.fouling_thickness_um(HeaterId::A), 0.0);
+        die.deposit_scale(Seconds::new(3600.0));
+        let a = die.fouling_thickness_um(HeaterId::A);
+        assert!(a > 0.0, "an hour on a hot bare face deposits scale");
+        // The same hour through the layer directly, at the die's wall.
+        let mut layer = FoulingLayer::new(params.fouling, params.passivation);
+        layer.step(
+            Seconds::new(3600.0),
+            die.heater_temperature(HeaterId::A),
+            die.fluid().hardness_f(),
+            die.bubble_coverage(HeaterId::A),
+        );
+        assert_eq!(a.to_bits(), layer.thickness_um().to_bits());
     }
 
     #[test]

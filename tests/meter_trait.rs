@@ -23,16 +23,22 @@ use hotwire::prelude::*;
 /// consumes a variable number of RNG words, so every noise sample — and
 /// with it every absolute digest — moved once. The jobs 1/2/3 identity
 /// below is unchanged.
+///
+/// Re-pinned again when scale deposition moved from every modulator tick
+/// to once per control frame (at the frame's closing wall temperature):
+/// the exact-tier fouling thickness — a digest word, and through the
+/// membrane's convection chain every later die temperature — moved by
+/// ≈10⁻⁹ µm per frame. The jobs 1/2/3 identity below is unchanged.
 const PRE_REFACTOR_DIGESTS: [u64; 9] = [
-    0xf3e3a5516f7d9d30,
-    0xc8af2ad39c5276ec,
-    0xcc4ce4fc762e4ce0,
-    0x1666ec33d3afb366,
-    0x64e9cf938c494351,
-    0x1626932b4cc823a4,
-    0x5232979e9be67ced,
-    0xb3d04c02a375e89c,
-    0x9190d3729386ca75,
+    0xa6c798bc17a41962,
+    0xe4f84ecad6dcdc88,
+    0x89027e796a10ed24,
+    0x290ff3142d6fee0f,
+    0x3fcd5e2a7a3ef0a7,
+    0xe4ca1ce2510b49e0,
+    0xd6b2e9a789241f6e,
+    0xfc583fe4151ee043,
+    0x13dad7c0c24bc876,
 ];
 
 /// A faulted fleet spec exercising the full fault matrix: windowed ADC and
