@@ -29,7 +29,9 @@
 //!
 //! `--check BASELINE` compares the freshly measured headline frames/s
 //! against the committed baseline and exits non-zero if it regressed by
-//! more than 10 %.
+//! more than 10 %, or if the headline replay's digest differs from the
+//! baseline's `replay.pinned_jobs.digest` (the headline replays all 4096
+//! lines in both modes, so its bits are comparable with a full baseline).
 //!
 //! The baseline is read before the run writes its report, and `--check`
 //! refuses a baseline that is also the `--out` file (the default `--out`
@@ -53,7 +55,8 @@ options:
                    committed full baseline
   --out PATH       where to write the JSON report (default: BENCH_ingest.json)
   --check BASELINE compare against a committed BENCH_ingest.json; exit 1 if
-                   the headline frames/s regressed more than 10 %";
+                   the headline frames/s regressed more than 10 % or its
+                   decode digest differs from the baseline's";
 
 /// Fraction of the baseline's throughput the fresh measurement may lose
 /// before `--check` fails (the ISSUE's soak gate: a ≥ 10 % frames/s drop
@@ -393,6 +396,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("throughput check passed: {headline:.0} frames/s vs baseline {expected:.0}");
+        // The throughput only counts if the decode bits are the same.
+        let pinned_digest = format!("{:016x}", pinned.digest());
+        let expected_digest = baseline
+            .find("\"pinned_jobs\"")
+            .and_then(|at| report::parse_string(&baseline[at..], "digest"));
+        let Some(expected_digest) = expected_digest else {
+            eprintln!("baseline {baseline_path} has no replay.pinned_jobs.digest");
+            return ExitCode::FAILURE;
+        };
+        if pinned_digest != expected_digest {
+            eprintln!(
+                "ingest decode bits changed: headline digest {pinned_digest} vs baseline \
+                 {expected_digest}"
+            );
+            return ExitCode::FAILURE;
+        }
+        eprintln!("digest check passed: {pinned_digest}");
     }
     ExitCode::SUCCESS
 }

@@ -60,6 +60,16 @@ pub fn parse_number(baseline: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Pulls `"<key>": "<string>"` out of a baseline report, like
+/// [`parse_number`]; the string must carry no escapes. The first
+/// occurrence wins.
+pub fn parse_string<'a>(baseline: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let at = baseline.find(&needle)? + needle.len();
+    let rest = baseline[at..].trim_start().strip_prefix('"')?;
+    rest.find('"').map(|end| &rest[..end])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,5 +121,14 @@ mod tests {
         assert_eq!(parse_number(json, "a"), Some(1000.0));
         assert_eq!(parse_number(json, "b"), Some(-0.5));
         assert_eq!(parse_number(json, "c"), None);
+    }
+
+    #[test]
+    fn parse_string_reads_the_first_key() {
+        let json = "{\"d\": \"00ff\", \"n\": 3, \"d\": \"beef\"}";
+        assert_eq!(parse_string(json, "d"), Some("00ff"));
+        assert_eq!(parse_string(json, "n"), None);
+        assert_eq!(parse_string(json, "x"), None);
+        assert_eq!(parse_string("{\"d\": \"open", "d"), None);
     }
 }

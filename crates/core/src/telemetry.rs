@@ -9,7 +9,7 @@ use crate::direction::FlowDirection;
 use crate::flow_meter::Measurement;
 use crate::health::HealthState;
 use crate::CoreError;
-use hotwire_isif::uart::{encode_frame, FrameDecoder};
+use hotwire_isif::uart::{encode_frame, Decoded, FrameDecoder};
 use hotwire_units::MetersPerSecond;
 
 /// Wire version tag of the record layout.
@@ -189,9 +189,7 @@ impl TelemetryRecord {
     /// Returns a [`RecordError`] naming which validation failed, suitable for
     /// tallying into [`RecordDecodeStats`].
     pub fn parse(bytes: &[u8]) -> Result<Self, RecordError> {
-        if bytes.len() != RECORD_LEN {
-            return Err(RecordError::WrongLength);
-        }
+        let bytes: &[u8; RECORD_LEN] = bytes.try_into().map_err(|_| RecordError::WrongLength)?;
         if bytes[0] != RECORD_VERSION {
             return Err(RecordError::UnknownVersion);
         }
@@ -201,16 +199,17 @@ impl TelemetryRecord {
             2 => FlowDirection::Reverse,
             _ => return Err(RecordError::BadDirection),
         };
+        let word = |at: usize| [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
         let flags = u16::from_le_bytes([bytes[2], bytes[3]]);
         Ok(TelemetryRecord {
-            velocity_centi_cm_s: i32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
+            velocity_centi_cm_s: i32::from_le_bytes(word(4)),
             direction,
             bubble: flags & 1 != 0,
             fouling: flags & 2 != 0,
             saturated: flags & 4 != 0,
             health: HealthState::from_code((flags >> 3) as u8),
-            conductance_nw_per_k: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-            tick: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
+            conductance_nw_per_k: u32::from_le_bytes(word(8)),
+            tick: u32::from_le_bytes(word(12)),
         })
     }
 
@@ -246,15 +245,15 @@ impl TelemetryRecord {
         bytes: &[u8],
         stats: &mut RecordDecodeStats,
     ) -> Vec<TelemetryRecord> {
-        bytes
-            .iter()
-            .filter_map(|&b| decoder.push(b))
-            .filter_map(|payload| {
-                let outcome = TelemetryRecord::parse(&payload);
+        let mut records = Vec::new();
+        decoder.decode(bytes, |d| {
+            if let Decoded::Frame(payload) = d {
+                let outcome = TelemetryRecord::parse(payload);
                 stats.tally(&outcome);
-                outcome.ok()
-            })
-            .collect()
+                records.extend(outcome.ok());
+            }
+        });
+        records
     }
 }
 
@@ -455,5 +454,28 @@ mod tests {
             ..sample_measurement()
         };
         assert!(!TelemetryRecord::from_measurement(&m).saturated);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            mut bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..40),
+            steer in 0u8..4,
+        ) {
+            // Half the cases are record-sized with a plausible header.
+            if steer < 2 {
+                bytes.resize(RECORD_LEN, 0);
+                bytes[0] = RECORD_VERSION;
+                bytes[1] %= 4;
+            }
+            // Any outcome is fine; a panic is not. What parses re-encodes
+            // to the same version, direction and numeric fields (unused
+            // flag bits are not carried).
+            if let Ok(record) = TelemetryRecord::parse(&bytes) {
+                let back = record.to_bytes();
+                proptest::prop_assert_eq!(&back[..2], &bytes[..2]);
+                proptest::prop_assert_eq!(&back[4..], &bytes[4..]);
+            }
+        }
     }
 }

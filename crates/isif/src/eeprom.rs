@@ -11,20 +11,38 @@ pub const SLOT_COUNT: usize = 8;
 /// Payload capacity of one slot in bytes.
 pub const SLOT_CAPACITY: usize = 64;
 
-/// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
-pub fn crc16_ccitt(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
+/// CRC-16/CCITT polynomial.
+const CRC_POLY: u16 = 0x1021;
+
+/// Sarwate's byte-wise lookup table: entry `i` is the CRC register after
+/// shifting byte `i` through the polynomial eight times. Built at compile
+/// time.
+const CRC_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
+                (crc << 1) ^ CRC_POLY
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    crc
+    table
+};
+
+/// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), one table
+/// lookup per byte.
+pub fn crc16_ccitt(data: &[u8]) -> u16 {
+    data.iter().fold(0xFFFF, |crc, &byte| {
+        (crc << 8) ^ CRC_TABLE[usize::from((crc >> 8) as u8 ^ byte)]
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -324,6 +342,38 @@ mod tests {
         let back = CalibrationStore::decode_f64s(&payload).unwrap();
         assert_eq!(back, values);
         assert!(CalibrationStore::decode_f64s(&payload[..7]).is_err());
+    }
+
+    /// The bit-serial CRC the table replaces: eight shift/xor steps per
+    /// byte.
+    fn crc16_bitwise(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &byte in data {
+            crc ^= (byte as u16) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ CRC_POLY
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn crc_matches_the_catalogue_check_value() {
+        assert_eq!(crc16_ccitt(b"123456789"), 0x29B1);
+        assert_eq!(crc16_ccitt(b""), 0xFFFF);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn table_crc_equals_the_bitwise_reference(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc16_ccitt(&data), crc16_bitwise(&data));
+        }
     }
 
     #[test]

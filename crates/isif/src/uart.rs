@@ -1,13 +1,14 @@
 //! UART telemetry framing — the link carrying measurements off the probe.
 //!
 //! Frame format: `0xA5 | len(1) | payload(len) | crc16(2, big-endian)`,
-//! CRC-16/CCITT over the payload. The decoder is a resynchronizing byte
-//! state machine: garbage between frames is skipped, truncated or corrupt
-//! frames are counted and dropped.
+//! CRC-16/CCITT over the payload. The decoder scans byte slices in place:
+//! garbage between frames is skipped, corrupt frames are counted and
+//! re-hunted for embedded genuine frames, and only a frame left unfinished
+//! at the end of a slice is copied, into a small carry buffer that the next
+//! slice completes.
 
 use crate::eeprom::crc16_ccitt;
 use crate::IsifError;
-use std::collections::VecDeque;
 
 /// Frame start-of-header byte.
 pub const SOH: u8 = 0xA5;
@@ -35,47 +36,24 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, IsifError> {
     Ok(out)
 }
 
-/// Decoder state machine.
-#[derive(Debug, Clone, Default)]
-enum DecodeState {
-    #[default]
-    Hunt,
-    Length,
-    Payload {
-        expected: usize,
-    },
-    Crc {
-        have_high: bool,
-        high: u8,
-    },
-}
-
-/// What one pushed byte did to the decoder — the edge-resolved variant of
-/// [`FrameDecoder::push`]'s `Option`, for callers that must react to frame
-/// *errors* (observability, link diagnostics) rather than only to good
-/// frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The byte advanced the state machine; nothing concluded yet.
-    Pending,
-    /// The byte closed a frame with a valid CRC; here is its payload.
-    Frame(Vec<u8>),
-    /// The byte closed a frame whose CRC mismatched; the frame was dropped.
-    CrcError {
-        /// Genuine frames recovered by re-scanning the dropped frame's
-        /// bytes for an embedded start-of-header. A false `0xA5` in line
-        /// noise whose bogus length field spans a real frame used to
-        /// swallow that frame; the re-hunt decodes it instead. Usually
-        /// empty (a plain corrupt frame contains no embedded frame).
-        recovered: Vec<Vec<u8>>,
-    },
+/// What [`FrameDecoder::decode`] concluded at one point of the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoded<'a> {
+    /// A frame closed with a valid CRC; its payload, borrowed from the
+    /// decoded slice (or the decoder's carry buffer).
+    Frame(&'a [u8]),
+    /// A frame closed with a mismatched CRC and was dropped. Genuine frames
+    /// recovered by re-scanning its bytes for an embedded start-of-header
+    /// (a false `0xA5` in line noise whose bogus length field spans a real
+    /// frame) follow as [`Decoded::Frame`]s.
+    CrcError,
 }
 
 /// A snapshot of the decoder's cumulative link counters.
 ///
 /// The first three counters keep their historical semantics exactly; the
 /// remaining three were added with the re-hunt/flush accounting fixes and
-/// together close the byte ledger: every byte pushed is either skipped
+/// together close the byte ledger: every byte decoded is either skipped
 /// while hunting (`resyncs`), part of a decoded frame, discarded
 /// (`discarded_bytes`), or still in flight inside the decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
@@ -112,70 +90,103 @@ impl LinkStats {
     }
 }
 
-/// What a candidate frame starting at a given span offset turned out to be
-/// during a re-hunt ([`FrameDecoder`] internal).
-enum FrameAt {
-    /// A complete, CRC-valid frame of this payload length.
-    Valid { payload_len: usize },
-    /// A complete frame shape whose CRC mismatched (noise alignment).
-    BadCrc,
-    /// The span ends before the candidate completes.
-    Incomplete,
+/// Wire length of the frame whose SOH is `bytes[at]`, if it lies whole
+/// inside `bytes`.
+#[inline]
+fn whole_frame(bytes: &[u8], at: usize) -> Option<usize> {
+    let len = usize::from(*bytes.get(at + 1)?) + 4;
+    (at + len <= bytes.len()).then_some(len)
 }
 
-/// Classifies the candidate frame at `span[i]` (which must be an SOH).
-fn frame_at(span: &[u8], i: usize) -> FrameAt {
-    let Some(&len) = span.get(i + 1) else {
-        return FrameAt::Incomplete;
-    };
-    let len = len as usize;
-    let end = i + 2 + len + 2;
-    if end > span.len() {
-        return FrameAt::Incomplete;
-    }
-    let payload = &span[i + 2..i + 2 + len];
-    let crc = u16::from_be_bytes([span[end - 2], span[end - 1]]);
-    if crc == crc16_ccitt(payload) {
-        FrameAt::Valid { payload_len: len }
-    } else {
-        FrameAt::BadCrc
-    }
+/// Whether a whole frame's CRC matches its payload.
+#[inline]
+fn crc_matches(frame: &[u8]) -> bool {
+    let (payload, crc) = frame[2..].split_at(frame.len() - 4);
+    u16::from_be_bytes([crc[0], crc[1]]) == crc16_ccitt(payload)
 }
 
-/// A resynchronizing frame decoder.
+/// Resolves one whole committed frame (SOH through CRC): a valid frame is
+/// delivered; a corrupt one reports [`Decoded::CrcError`] and has its bytes
+/// re-hunted. Returns the offset in `frame` of a trailing partial the
+/// re-hunt adopts as the new committed frame.
+#[inline]
+fn close(stats: &mut LinkStats, frame: &[u8], on: &mut impl FnMut(Decoded<'_>)) -> Option<usize> {
+    if crc_matches(frame) {
+        stats.good_frames += 1;
+        on(Decoded::Frame(&frame[2..frame.len() - 2]));
+        return None;
+    }
+    stats.crc_errors += 1;
+    on(Decoded::CrcError);
+    rescan(stats, &frame[1..], &mut |p| on(Decoded::Frame(p))).map(|at| at + 1)
+}
+
+/// Re-hunts the bytes that followed a dropped frame's SOH (`span`) for
+/// embedded genuine frames.
+///
+/// Complete CRC-valid frames decode into `on`; a complete but
+/// CRC-mismatched candidate is treated as a noise alignment (only its SOH
+/// is skipped, so a real frame starting inside it is still found); a
+/// trailing incomplete candidate is returned as its offset in `span`, for
+/// the caller to adopt as the new in-flight frame so later stream bytes can
+/// complete it. Bytes that end up in none of those count into
+/// `discarded_bytes`, keeping the byte ledger exact.
+fn rescan(stats: &mut LinkStats, span: &[u8], on: &mut impl FnMut(&[u8])) -> Option<usize> {
+    // The SOH that committed the dropped frame is itself lost.
+    stats.discarded_bytes += 1;
+    let mut i = 0;
+    while let Some(skip) = span[i..].iter().position(|&b| b == SOH) {
+        stats.discarded_bytes += skip as u64;
+        i += skip;
+        let Some(len) = whole_frame(span, i) else {
+            return Some(i);
+        };
+        let frame = &span[i..i + len];
+        if crc_matches(frame) {
+            stats.good_frames += 1;
+            stats.recovered_frames += 1;
+            on(&frame[2..len - 2]);
+            i += len;
+        } else {
+            stats.discarded_bytes += 1;
+            i += 1;
+        }
+    }
+    stats.discarded_bytes += (span.len() - i) as u64;
+    None
+}
+
+/// A resynchronizing frame decoder over byte slices.
+///
+/// [`decode`](Self::decode) validates every frame that lies whole inside
+/// the slice in place and hands out its payload borrowed; a frame cut off
+/// by the end of the slice is carried (at most [`MAX_PAYLOAD`] + 4 bytes)
+/// and completed by the next call. Events, payloads and [`LinkStats`] are the
+/// same for any chunking of one byte stream.
 ///
 /// ```
-/// use hotwire_isif::uart::{encode_frame, FrameDecoder};
+/// use hotwire_isif::uart::{encode_frame, Decoded, FrameDecoder};
 ///
 /// let mut dec = FrameDecoder::new();
 /// let wire = encode_frame(b"v=123")?;
-/// let mut got = None;
-/// for b in wire {
-///     if let Some(frame) = dec.push(b) {
-///         got = Some(frame);
-///     }
+/// let mut got = Vec::new();
+/// // Any split of the wire decodes the same frame.
+/// for chunk in wire.chunks(3) {
+///     dec.decode(chunk, |d| {
+///         if let Decoded::Frame(payload) = d {
+///             got.push(payload.to_vec());
+///         }
+///     });
 /// }
-/// assert_eq!(got.as_deref(), Some(&b"v=123"[..]));
+/// assert_eq!(got, [b"v=123".to_vec()]);
 /// # Ok::<(), hotwire_isif::IsifError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
-    state: DecodeState,
-    /// Payload bytes of the in-flight frame.
-    buf: Vec<u8>,
-    /// Every raw byte consumed since (not including) the committed SOH —
-    /// length byte, payload and CRC bytes. This is what gets re-hunted
-    /// when the frame is dropped (CRC mismatch) or aborted (flush).
-    raw: Vec<u8>,
-    /// Recovered frames queued for delivery through [`push`](Self::push)
-    /// (which can only return one frame per byte).
-    queued: VecDeque<Vec<u8>>,
-    good_frames: u64,
-    crc_errors: u64,
-    resyncs: u64,
-    recovered_frames: u64,
-    aborted_frames: u64,
-    discarded_bytes: u64,
+    /// The in-flight frame — its committed SOH and every byte after it —
+    /// left unfinished by the end of the last slice; empty while hunting.
+    carry: Vec<u8>,
+    stats: LinkStats,
 }
 
 impl FrameDecoder {
@@ -184,226 +195,116 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Feeds one wire byte; returns a completed payload when a frame closes
-    /// with a valid CRC.
+    /// Decodes the next `bytes` of the stream, reporting every frame that
+    /// closes inside them to `on`, in wire order.
     ///
-    /// Frames recovered from the bytes of a dropped frame (see
-    /// [`PushOutcome::CrcError`]) are delivered too, one per call, in wire
-    /// order — drain the remainder with [`flush`](Self::flush) if the
-    /// stream ends.
-    pub fn push(&mut self, byte: u8) -> Option<Vec<u8>> {
-        match self.push_described(byte) {
-            PushOutcome::Frame(payload) => {
-                if self.queued.is_empty() {
-                    return Some(payload);
-                }
-                self.queued.push_back(payload);
+    /// A CRC mismatch reports [`Decoded::CrcError`], then any frames
+    /// recovered from the dropped frame's bytes as [`Decoded::Frame`]s.
+    pub fn decode(&mut self, mut bytes: &[u8], mut on: impl FnMut(Decoded<'_>)) {
+        if !self.carry.is_empty() {
+            bytes = self.complete_carry(bytes, &mut on);
+            if !self.carry.is_empty() {
+                return;
             }
-            PushOutcome::CrcError { recovered } => self.queued.extend(recovered),
-            PushOutcome::Pending => {}
         }
-        self.queued.pop_front()
-    }
-
-    /// Feeds one wire byte and reports what it concluded — like
-    /// [`push`](Self::push), but a dropped frame is distinguishable from
-    /// an uneventful byte, so callers can emit a frame-error event at the
-    /// exact byte that killed the frame.
-    pub fn push_described(&mut self, byte: u8) -> PushOutcome {
-        match self.state {
-            DecodeState::Hunt => {
-                if byte == SOH {
-                    self.raw.clear();
-                    self.state = DecodeState::Length;
-                } else {
-                    self.resyncs += 1;
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Length => {
-                self.raw.push(byte);
-                self.buf.clear();
-                if byte == 0 {
-                    self.state = DecodeState::Crc {
-                        have_high: false,
-                        high: 0,
-                    };
-                } else {
-                    self.state = DecodeState::Payload {
-                        expected: byte as usize,
-                    };
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Payload { expected } => {
-                self.raw.push(byte);
-                self.buf.push(byte);
-                if self.buf.len() == expected {
-                    self.state = DecodeState::Crc {
-                        have_high: false,
-                        high: 0,
-                    };
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Crc { have_high, high } => {
-                self.raw.push(byte);
-                if !have_high {
-                    self.state = DecodeState::Crc {
-                        have_high: true,
-                        high: byte,
-                    };
-                    PushOutcome::Pending
-                } else {
-                    self.state = DecodeState::Hunt;
-                    let wire_crc = u16::from_be_bytes([high, byte]);
-                    if wire_crc == crc16_ccitt(&self.buf) {
-                        self.good_frames += 1;
-                        self.raw.clear();
-                        PushOutcome::Frame(std::mem::take(&mut self.buf))
-                    } else {
-                        self.crc_errors += 1;
-                        self.buf.clear();
-                        let span = std::mem::take(&mut self.raw);
-                        let recovered = self.rescan(&span);
-                        PushOutcome::CrcError { recovered }
+        let stats = &mut self.stats;
+        let mut i = 0;
+        while let Some(skip) = bytes[i..].iter().position(|&b| b == SOH) {
+            stats.resyncs += skip as u64;
+            // `at` is a committed SOH: resolve its frame in place.
+            let mut at = i + skip;
+            loop {
+                let Some(len) = whole_frame(bytes, at) else {
+                    self.carry.extend_from_slice(&bytes[at..]);
+                    return;
+                };
+                match close(stats, &bytes[at..at + len], &mut on) {
+                    Some(adopted) => at += adopted,
+                    None => {
+                        i = at + len;
+                        break;
                     }
                 }
             }
         }
+        stats.resyncs += (bytes.len() - i) as u64;
     }
 
-    /// Re-hunts a discarded in-flight span (the bytes that followed a
-    /// committed SOH) for embedded genuine frames.
-    ///
-    /// Complete CRC-valid frames decode and are returned; a complete but
-    /// CRC-mismatched candidate is treated as a noise alignment (only its
-    /// SOH is skipped, so a real frame starting inside it is still found);
-    /// a trailing incomplete candidate is adopted as the new in-flight
-    /// frame so subsequent stream bytes can complete it. Bytes that end up
-    /// in none of those count into `discarded_bytes`, keeping the byte
-    /// ledger exact.
-    fn rescan(&mut self, span: &[u8]) -> Vec<Vec<u8>> {
-        let mut recovered = Vec::new();
-        // The SOH that committed the discarded frame is itself lost.
-        self.discarded_bytes += 1;
-        let mut i = 0;
-        while i < span.len() {
-            if span[i] != SOH {
-                self.discarded_bytes += 1;
-                i += 1;
-                continue;
-            }
-            match frame_at(span, i) {
-                FrameAt::Valid { payload_len } => {
-                    self.good_frames += 1;
-                    self.recovered_frames += 1;
-                    recovered.push(span[i + 2..i + 2 + payload_len].to_vec());
-                    i += payload_len + 4;
+    /// Tops the carried frame up from the head of `bytes` until it
+    /// resolves into hunting, or `bytes` runs out; returns the unconsumed
+    /// rest.
+    fn complete_carry<'b>(
+        &mut self,
+        mut bytes: &'b [u8],
+        on: &mut impl FnMut(Decoded<'_>),
+    ) -> &'b [u8] {
+        while !self.carry.is_empty() {
+            // First up to the length byte, then up to the whole frame.
+            let need = self.carry.get(1).map_or(2, |&len| usize::from(len) + 4);
+            let take = (need - self.carry.len()).min(bytes.len());
+            self.carry.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if whole_frame(&self.carry, 0).is_some() {
+                match close(&mut self.stats, &self.carry, on) {
+                    Some(adopted) => {
+                        self.carry.drain(..adopted);
+                    }
+                    None => self.carry.clear(),
                 }
-                FrameAt::BadCrc => {
-                    self.discarded_bytes += 1;
-                    i += 1;
-                }
-                FrameAt::Incomplete => {
-                    self.adopt(&span[i + 1..]);
-                    return recovered;
-                }
+            } else if bytes.is_empty() {
+                break;
             }
         }
-        recovered
-    }
-
-    /// Adopts a partial frame found at the tail of a re-hunted span as the
-    /// live in-flight frame. `rest` holds the bytes after the candidate's
-    /// SOH (length byte onward) and is strictly shorter than a complete
-    /// frame.
-    fn adopt(&mut self, rest: &[u8]) {
-        self.raw.clear();
-        self.raw.extend_from_slice(rest);
-        self.buf.clear();
-        match rest.split_first() {
-            None => self.state = DecodeState::Length,
-            Some((&len, body)) => {
-                let len = len as usize;
-                if body.len() < len {
-                    self.buf.extend_from_slice(body);
-                    self.state = DecodeState::Payload { expected: len };
-                } else {
-                    self.buf.extend_from_slice(&body[..len]);
-                    self.state = match body.len() - len {
-                        0 => DecodeState::Crc {
-                            have_high: false,
-                            high: 0,
-                        },
-                        1 => DecodeState::Crc {
-                            have_high: true,
-                            high: body[len],
-                        },
-                        _ => unreachable!("a complete candidate is never adopted"),
-                    };
-                }
-            }
-        }
+        bytes
     }
 
     /// Frames decoded successfully.
     #[inline]
     pub fn good_frames(&self) -> u64 {
-        self.good_frames
+        self.stats.good_frames
     }
 
     /// Frames dropped for CRC mismatch.
     #[inline]
     pub fn crc_errors(&self) -> u64 {
-        self.crc_errors
+        self.stats.crc_errors
     }
 
     /// Bytes skipped while hunting for a start-of-header.
     #[inline]
     pub fn resyncs(&self) -> u64 {
-        self.resyncs
+        self.stats.resyncs
     }
 
     /// Frames recovered by re-scanning dropped or aborted frame bytes.
     #[inline]
     pub fn recovered_frames(&self) -> u64 {
-        self.recovered_frames
+        self.stats.recovered_frames
     }
 
     /// In-flight frames abandoned by an idle-line flush.
     #[inline]
     pub fn aborted_frames(&self) -> u64 {
-        self.aborted_frames
+        self.stats.aborted_frames
     }
 
     /// Bytes discarded without decoding into any frame.
     #[inline]
     pub fn discarded_bytes(&self) -> u64 {
-        self.discarded_bytes
+        self.stats.discarded_bytes
     }
 
     /// Bytes currently held inside the decoder (the committed SOH plus
     /// everything consumed after it), zero when hunting.
     #[inline]
     pub fn in_flight_bytes(&self) -> u64 {
-        match self.state {
-            DecodeState::Hunt => 0,
-            _ => self.raw.len() as u64 + 1,
-        }
+        self.carry.len() as u64
     }
 
     /// Snapshot of all cumulative link counters.
     #[inline]
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            good_frames: self.good_frames,
-            crc_errors: self.crc_errors,
-            resyncs: self.resyncs,
-            recovered_frames: self.recovered_frames,
-            aborted_frames: self.aborted_frames,
-            discarded_bytes: self.discarded_bytes,
-        }
+        self.stats
     }
 
     /// Idle-line flush: a UART receiver detects inter-frame silence and
@@ -414,32 +315,213 @@ impl FrameDecoder {
     ///
     /// The abandoned in-flight bytes are re-hunted exactly as on a CRC
     /// mismatch, so a genuine frame buried inside a false frame still
-    /// decodes: it is returned here, after any frames recovered earlier
-    /// that [`push`](Self::push) has not delivered yet. Each abandoned
-    /// partial counts into `aborted_frames` and its unrecovered bytes into
-    /// `discarded_bytes`; the three historical counters are untouched.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        let mut out: Vec<Vec<u8>> = self.queued.drain(..).collect();
-        while !matches!(self.state, DecodeState::Hunt) {
-            self.aborted_frames += 1;
-            self.buf.clear();
-            self.state = DecodeState::Hunt;
-            let span = std::mem::take(&mut self.raw);
+    /// decodes into `on`. Each abandoned partial counts into
+    /// `aborted_frames` and its unrecovered bytes into `discarded_bytes`;
+    /// the three historical counters are untouched.
+    pub fn flush(&mut self, mut on: impl FnMut(&[u8])) {
+        while !self.carry.is_empty() {
+            self.stats.aborted_frames += 1;
             // The re-hunt may adopt a shorter trailing partial; an idle
             // line truncates that too, so the loop aborts it as well. Each
-            // pass strictly shrinks the span, so this terminates.
-            out.extend(self.rescan(&span));
+            // pass strictly shrinks the carry, so this terminates.
+            match rescan(&mut self.stats, &self.carry[1..], &mut on) {
+                Some(offset) => {
+                    self.carry.drain(..1 + offset);
+                }
+                None => self.carry.clear(),
+            }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte state machine [`FrameDecoder::decode`] replaced, kept
+    /// as the oracle of the chunking contract.
+    mod oracle {
+        use super::super::*;
+
+        /// One event of the byte machine, in wire order.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            Frame(Vec<u8>),
+            CrcError,
+        }
+
+        #[derive(Debug, Clone, Default)]
+        enum State {
+            #[default]
+            Hunt,
+            Length,
+            Payload {
+                expected: usize,
+            },
+            Crc {
+                have_high: bool,
+                high: u8,
+            },
+        }
+
+        #[derive(Debug, Clone, Default)]
+        pub struct ByteMachine {
+            state: State,
+            /// Payload bytes of the in-flight frame.
+            buf: Vec<u8>,
+            /// Every raw byte consumed since (not including) the committed
+            /// SOH.
+            raw: Vec<u8>,
+            pub stats: LinkStats,
+        }
+
+        impl ByteMachine {
+            pub fn push(&mut self, byte: u8, events: &mut Vec<Event>) {
+                match self.state {
+                    State::Hunt => {
+                        if byte == SOH {
+                            self.raw.clear();
+                            self.state = State::Length;
+                        } else {
+                            self.stats.resyncs += 1;
+                        }
+                    }
+                    State::Length => {
+                        self.raw.push(byte);
+                        self.buf.clear();
+                        self.state = if byte == 0 {
+                            State::Crc {
+                                have_high: false,
+                                high: 0,
+                            }
+                        } else {
+                            State::Payload {
+                                expected: byte as usize,
+                            }
+                        };
+                    }
+                    State::Payload { expected } => {
+                        self.raw.push(byte);
+                        self.buf.push(byte);
+                        if self.buf.len() == expected {
+                            self.state = State::Crc {
+                                have_high: false,
+                                high: 0,
+                            };
+                        }
+                    }
+                    State::Crc { have_high, high } => {
+                        self.raw.push(byte);
+                        if !have_high {
+                            self.state = State::Crc {
+                                have_high: true,
+                                high: byte,
+                            };
+                        } else {
+                            self.state = State::Hunt;
+                            if u16::from_be_bytes([high, byte]) == crc16_ccitt(&self.buf) {
+                                self.stats.good_frames += 1;
+                                events.push(Event::Frame(std::mem::take(&mut self.buf)));
+                            } else {
+                                self.stats.crc_errors += 1;
+                                events.push(Event::CrcError);
+                                let span = std::mem::take(&mut self.raw);
+                                self.rescan(&span, events);
+                            }
+                        }
+                    }
+                }
+            }
+
+            fn rescan(&mut self, span: &[u8], events: &mut Vec<Event>) {
+                self.stats.discarded_bytes += 1;
+                let mut i = 0;
+                while i < span.len() {
+                    if span[i] != SOH {
+                        self.stats.discarded_bytes += 1;
+                        i += 1;
+                        continue;
+                    }
+                    // The candidate's length byte and wire end.
+                    let Some(&len) = span.get(i + 1) else {
+                        self.adopt(&span[i + 1..], events);
+                        return;
+                    };
+                    let end = i + len as usize + 4;
+                    if end > span.len() {
+                        self.adopt(&span[i + 1..], events);
+                        return;
+                    }
+                    let payload = &span[i + 2..end - 2];
+                    if u16::from_be_bytes([span[end - 2], span[end - 1]]) == crc16_ccitt(payload) {
+                        self.stats.good_frames += 1;
+                        self.stats.recovered_frames += 1;
+                        events.push(Event::Frame(payload.to_vec()));
+                        i = end;
+                    } else {
+                        self.stats.discarded_bytes += 1;
+                        i += 1;
+                    }
+                }
+            }
+
+            /// Adopts a partial frame found at the tail of a re-hunted
+            /// span as the in-flight frame: `rest` (length byte onward)
+            /// is fed through the machine again, which cannot complete it.
+            fn adopt(&mut self, rest: &[u8], events: &mut Vec<Event>) {
+                self.state = State::Length;
+                for &b in rest {
+                    self.push(b, events);
+                }
+            }
+
+            pub fn in_flight_bytes(&self) -> u64 {
+                match self.state {
+                    State::Hunt => 0,
+                    _ => self.raw.len() as u64 + 1,
+                }
+            }
+
+            pub fn flush(&mut self, events: &mut Vec<Event>) {
+                while !matches!(self.state, State::Hunt) {
+                    self.stats.aborted_frames += 1;
+                    self.buf.clear();
+                    self.state = State::Hunt;
+                    let span = std::mem::take(&mut self.raw);
+                    self.rescan(&span, events);
+                }
+            }
+        }
+    }
+
+    use oracle::{ByteMachine, Event};
 
     fn decode_all(dec: &mut FrameDecoder, bytes: &[u8]) -> Vec<Vec<u8>> {
-        bytes.iter().filter_map(|&b| dec.push(b)).collect()
+        let mut frames = Vec::new();
+        dec.decode(bytes, |d| {
+            if let Decoded::Frame(p) = d {
+                frames.push(p.to_vec());
+            }
+        });
+        frames
+    }
+
+    fn flush_all(dec: &mut FrameDecoder) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        dec.flush(|p| frames.push(p.to_vec()));
+        frames
+    }
+
+    fn events_of(dec: &mut FrameDecoder, bytes: &[u8]) -> Vec<Event> {
+        let mut events = Vec::new();
+        dec.decode(bytes, |d| {
+            events.push(match d {
+                Decoded::Frame(p) => Event::Frame(p.to_vec()),
+                Decoded::CrcError => Event::CrcError,
+            })
+        });
+        events
     }
 
     #[test]
@@ -512,23 +594,25 @@ mod tests {
     }
 
     #[test]
-    fn push_described_distinguishes_crc_errors() {
+    fn decode_distinguishes_crc_errors() {
         let mut dec = FrameDecoder::new();
         let mut wire = encode_frame(b"payload").unwrap();
         let n = wire.len();
         wire[n - 1] ^= 0x01; // corrupt the CRC low byte
-        let mut outcomes: Vec<PushOutcome> = wire.iter().map(|&b| dec.push_described(b)).collect();
+        let mut outcomes: Vec<Vec<Event>> =
+            wire.iter().map(|&b| events_of(&mut dec, &[b])).collect();
         // The dropped span contains no embedded SOH, so nothing recovers.
-        assert_eq!(
-            outcomes.pop(),
-            Some(PushOutcome::CrcError { recovered: vec![] })
-        );
-        assert!(outcomes.iter().all(|o| *o == PushOutcome::Pending));
+        assert_eq!(outcomes.pop(), Some(vec![Event::CrcError]));
+        assert!(outcomes.iter().all(Vec::is_empty));
 
         // A good frame closes with its payload on the final byte.
         let wire = encode_frame(b"ok").unwrap();
-        let last = wire.iter().map(|&b| dec.push_described(b)).last().unwrap();
-        assert_eq!(last, PushOutcome::Frame(b"ok".to_vec()));
+        let last = wire
+            .iter()
+            .map(|&b| events_of(&mut dec, &[b]))
+            .last()
+            .unwrap();
+        assert_eq!(last, vec![Event::Frame(b"ok".to_vec())]);
         assert_eq!(
             dec.stats(),
             LinkStats {
@@ -554,8 +638,8 @@ mod tests {
         wire.extend([0x11; 16]); // bogus "payload" prefix
         wire.extend(&inner); // the genuine frame, inside the false payload
         wire.extend([0x00, 0x00]); // false CRC (mismatches)
-        let mut frames: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
-        frames.extend(dec.flush());
+        let mut frames = decode_all(&mut dec, &wire);
+        frames.extend(flush_all(&mut dec));
         assert_eq!(frames, vec![b"hello".to_vec()]);
         let stats = dec.stats();
         assert_eq!(stats.crc_errors, 1);
@@ -574,9 +658,9 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut wire = vec![SOH, 0xFF]; // claims 255 payload bytes
         wire.extend(encode_frame(b"hello").unwrap());
-        let mid: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
+        let mid = decode_all(&mut dec, &wire);
         assert!(mid.is_empty(), "frame is still swallowed mid-burst");
-        let recovered = dec.flush();
+        let recovered = flush_all(&mut dec);
         assert_eq!(recovered, vec![b"hello".to_vec()]);
         let stats = dec.stats();
         assert_eq!(stats.aborted_frames, 1);
@@ -590,10 +674,10 @@ mod tests {
     fn flush_counts_aborted_partial_frames() {
         let mut dec = FrameDecoder::new();
         for b in [SOH, 0x05, 0x01, 0x02] {
-            assert_eq!(dec.push_described(b), PushOutcome::Pending);
+            assert_eq!(events_of(&mut dec, &[b]), vec![]);
         }
         assert_eq!(dec.in_flight_bytes(), 4);
-        assert!(dec.flush().is_empty());
+        assert!(flush_all(&mut dec).is_empty());
         let stats = dec.stats();
         assert_eq!(stats.aborted_frames, 1);
         assert_eq!(stats.discarded_bytes, 4);
@@ -603,7 +687,7 @@ mod tests {
             (0, 0, 0)
         );
         // Idempotent: flushing a hunting decoder counts nothing.
-        assert!(dec.flush().is_empty());
+        assert!(flush_all(&mut dec).is_empty());
         assert_eq!(dec.stats(), stats);
     }
 
@@ -630,5 +714,82 @@ mod tests {
                 discarded_bytes: 12,
             }
         );
+    }
+
+    /// Builds a hostile wire from drawn segments: kind 0 is line noise,
+    /// kinds 1–3 an encoded frame of the segment's bytes, intact, with a
+    /// bit flipped, or with one byte dropped or inserted (`knob` picks the
+    /// position and the bit).
+    fn hostile_wire(segments: &[(u8, Vec<u8>, u16)]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for (kind, bytes, knob) in segments {
+            if *kind == 0 {
+                // Noise rich in false start-of-header bytes.
+                wire.extend(bytes.iter().map(|&b| if b < 24 { SOH } else { b }));
+                continue;
+            }
+            let mut frame = encode_frame(bytes).unwrap();
+            let at = *knob as usize % frame.len();
+            match kind {
+                1 => {}
+                2 => frame[at] ^= 1 << (knob % 8),
+                _ if knob & 0x100 != 0 => {
+                    frame.remove(at);
+                }
+                _ if knob & 0x200 != 0 => frame.insert(at, SOH),
+                _ => frame.insert(at, (knob >> 10) as u8),
+            }
+            wire.extend(frame);
+        }
+        wire
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn any_chunking_matches_the_byte_machine(
+            segments in prop::collection::vec(
+                (0u8..4, prop::collection::vec(any::<u8>(), 0..40), any::<u16>()),
+                0..10,
+            ),
+            cuts in prop::collection::vec(0usize..48, 0..12),
+        ) {
+            let wire = hostile_wire(&segments);
+            let mut oracle = ByteMachine::default();
+            let mut dec = FrameDecoder::new();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let mut rest = &wire[..];
+            let mut cuts = cuts.iter();
+            while !rest.is_empty() {
+                let take = cuts.next().map_or(rest.len(), |&c| c.min(rest.len()));
+                let (chunk, tail) = rest.split_at(take);
+                rest = tail;
+                for &b in chunk {
+                    oracle.push(b, &mut want);
+                }
+                got.extend(events_of(&mut dec, chunk));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(dec.stats(), oracle.stats);
+                prop_assert_eq!(dec.in_flight_bytes(), oracle.in_flight_bytes());
+            }
+            oracle.flush(&mut want);
+            dec.flush(|p| got.push(Event::Frame(p.to_vec())));
+            prop_assert_eq!(&got, &want, "wire {:02x?}", wire);
+            prop_assert_eq!(dec.stats(), oracle.stats);
+            prop_assert_eq!(dec.in_flight_bytes(), 0);
+            // The byte ledger closes once the line is idle.
+            let stats = dec.stats();
+            let frame_bytes: u64 = got
+                .iter()
+                .map(|e| match e {
+                    Event::Frame(p) => p.len() as u64 + 4,
+                    Event::CrcError => 0,
+                })
+                .sum();
+            prop_assert_eq!(
+                wire.len() as u64,
+                stats.resyncs + stats.discarded_bytes + frame_bytes
+            );
+        }
     }
 }

@@ -2,9 +2,20 @@
 //! round-trip arbitrary payloads and survive arbitrary corruption.
 
 use hotwire_isif::eeprom::{crc16_ccitt, CalibrationStore, SLOT_CAPACITY, SLOT_COUNT};
-use hotwire_isif::uart::{encode_frame, FrameDecoder, MAX_PAYLOAD};
+use hotwire_isif::uart::{encode_frame, Decoded, FrameDecoder, MAX_PAYLOAD};
 use hotwire_isif::IsifError;
 use proptest::prelude::*;
+
+/// Decodes `wire` and collects every good frame's payload.
+fn decode_all(dec: &mut FrameDecoder, wire: &[u8]) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    dec.decode(wire, |d| {
+        if let Decoded::Frame(f) = d {
+            frames.push(f.to_vec());
+        }
+    });
+    frames
+}
 
 proptest! {
     #[test]
@@ -43,11 +54,11 @@ proptest! {
         let wire = encode_frame(&payload).unwrap();
         let mut dec = FrameDecoder::new();
         let mut got = None;
-        for b in wire {
-            if let Some(frame) = dec.push(b) {
-                got = Some(frame);
+        dec.decode(&wire, |d| {
+            if let Decoded::Frame(frame) = d {
+                got = Some(frame.to_vec());
             }
-        }
+        });
         prop_assert_eq!(got, Some(payload));
     }
 
@@ -60,16 +71,14 @@ proptest! {
         // would swallow real frames; the idle-line flush between bursts (as
         // a real UART receiver implements) restores framing deterministically.
         let mut dec = FrameDecoder::new();
-        for b in garbage {
-            let _ = dec.push(b);
-        }
-        dec.flush(); // inter-frame idle detected
+        dec.decode(&garbage, |_| {});
+        dec.flush(|_| {}); // inter-frame idle detected
         let mut frames = Vec::new();
-        for b in encode_frame(&payload).unwrap() {
-            if let Some(f) = dec.push(b) {
-                frames.push(f);
+        dec.decode(&encode_frame(&payload).unwrap(), |d| {
+            if let Decoded::Frame(f) = d {
+                frames.push(f.to_vec());
             }
-        }
+        });
         prop_assert_eq!(frames, vec![payload]);
     }
 
@@ -89,8 +98,8 @@ proptest! {
         wire.extend(&frame);
         wire.extend(&suffix);
         let mut dec = FrameDecoder::new();
-        let mut frames: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
-        frames.extend(dec.flush()); // the single idle flush
+        let mut frames = decode_all(&mut dec, &wire);
+        dec.flush(|f| frames.push(f.to_vec())); // the single idle flush
         prop_assert!(
             frames.contains(&payload),
             "intact frame lost: prefix {prefix:02x?}, payload {payload:02x?}, suffix {suffix:02x?}"
@@ -115,8 +124,8 @@ proptest! {
             }
         }
         let mut dec = FrameDecoder::new();
-        let mut decoded: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
-        decoded.extend(dec.flush());
+        let mut decoded = decode_all(&mut dec, &wire);
+        dec.flush(|f| decoded.push(f.to_vec()));
         let stats = dec.stats();
         let frame_bytes: u64 = decoded.iter().map(|p| p.len() as u64 + 4).sum();
         prop_assert_eq!(

@@ -29,7 +29,7 @@ use hotwire_afe::ThermometerDac;
 use hotwire_core::faults::AdcFault;
 use hotwire_core::obs::EventKind;
 use hotwire_core::{Measurement, Meter, TelemetryRecord};
-use hotwire_isif::uart::{FrameDecoder, PushOutcome};
+use hotwire_isif::uart::{Decoded, FrameDecoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,10 +352,15 @@ impl FaultInjector {
             }
         }
         let record = TelemetryRecord::from_measurement(m);
-        let Ok(frame) = record.to_frame() else { return };
+        let Ok(mut frame) = record.to_frame() else {
+            return;
+        };
         self.stats.frames_sent += 1;
-        for byte in frame {
-            let mut b = byte;
+        // Corrupt the frame in place: the first `kept` bytes are what
+        // reaches the receiver.
+        let mut kept = 0;
+        for i in 0..frame.len() {
+            let mut b = frame[i];
             if drop_p > 0.0 && self.rng.gen_bool(drop_p) {
                 self.stats.bytes_dropped += 1;
                 continue;
@@ -364,28 +369,24 @@ impl FaultInjector {
                 b ^= 1u8 << self.rng.gen_range(0u32..8);
                 self.stats.bytes_corrupted += 1;
             }
-            if let Some(wire) = &mut self.wire {
-                wire.push(b);
-            }
-            match self.decoder.push_described(b) {
-                PushOutcome::Frame(payload) => {
-                    if TelemetryRecord::from_bytes(&payload).is_ok() {
-                        self.stats.frames_received += 1;
-                    }
-                }
-                PushOutcome::CrcError { recovered } => {
-                    meter.observe(EventKind::UartFrameError);
-                    // Frames the decoder re-hunted out of the discarded span
-                    // still arrived intact — count them as received.
-                    for payload in recovered {
-                        if TelemetryRecord::from_bytes(&payload).is_ok() {
-                            self.stats.frames_received += 1;
-                        }
-                    }
-                }
-                PushOutcome::Pending => {}
-            }
+            frame[kept] = b;
+            kept += 1;
         }
+        let received = &frame[..kept];
+        if let Some(wire) = &mut self.wire {
+            wire.extend_from_slice(received);
+        }
+        let stats = &mut self.stats;
+        self.decoder.decode(received, |d| match d {
+            // Frames the decoder re-hunts out of a dropped frame's bytes
+            // arrive after its CrcError and count as received too.
+            Decoded::Frame(payload) => {
+                if TelemetryRecord::parse(payload).is_ok() {
+                    stats.frames_received += 1;
+                }
+            }
+            Decoded::CrcError => meter.observe(EventKind::UartFrameError),
+        });
     }
 
     /// The telemetry-link statistics accumulated so far.

@@ -50,7 +50,7 @@ use crate::exec;
 use crate::fleet::FleetSpec;
 use crate::record::{HealthCensus, PolicyRecorder, RecordPolicy};
 use hotwire_core::{CoreError, HealthState, RecordDecodeStats, TelemetryRecord};
-use hotwire_isif::uart::{FrameDecoder, LinkStats};
+use hotwire_isif::uart::{Decoded, FrameDecoder, LinkStats};
 use std::collections::VecDeque;
 
 /// What a [`MeterSession`] does with bytes that arrive while its queue is
@@ -219,18 +219,30 @@ impl IngestStats {
 /// derived monitoring state for a single line.
 #[derive(Debug)]
 pub struct MeterSession {
-    line: usize,
     config: IngestConfig,
     queue: VecDeque<u8>,
     decoder: FrameDecoder,
-    records: RecordDecodeStats,
     bytes_in: u64,
     bytes_dropped: u64,
     bytes_deferred: u64,
+    monitor: LineMonitor,
+}
+
+/// What a [`MeterSession`] derives from the frames its decoder delivers.
+#[derive(Debug)]
+struct LineMonitor {
+    line: usize,
+    alert_capacity: usize,
+    records: RecordDecodeStats,
     records_lost: u64,
     tick_gaps: u64,
     health_transitions: u64,
+    /// The last tick the loss estimate trusts.
     last_tick: Option<u32>,
+    /// A later record's tick that stepped off cadence from `last_tick`,
+    /// held until the next record shows whether the stream continues from
+    /// it.
+    pending_tick: Option<u32>,
     cadence: u32,
     last_health: Option<HealthState>,
     flags: FlagHistory,
@@ -240,28 +252,35 @@ pub struct MeterSession {
     alerts_dropped: u64,
 }
 
+/// Wrapping tick gaps at or above this are backward steps.
+const BACKWARD_GAP: u32 = 1 << 31;
+
 impl MeterSession {
     /// A fresh session for `line`.
     pub fn new(line: usize, config: IngestConfig) -> Self {
         MeterSession {
-            line,
             queue: VecDeque::with_capacity(config.queue_capacity.min(4096)),
             decoder: FrameDecoder::new(),
-            records: RecordDecodeStats::default(),
             bytes_in: 0,
             bytes_dropped: 0,
             bytes_deferred: 0,
-            records_lost: 0,
-            tick_gaps: 0,
-            health_transitions: 0,
-            last_tick: None,
-            cadence: config.nominal_tick_gap,
-            last_health: None,
-            flags: FlagHistory::default(),
-            census: HealthCensus::default(),
-            alerts: Vec::new(),
-            alerts_raised: 0,
-            alerts_dropped: 0,
+            monitor: LineMonitor {
+                line,
+                alert_capacity: config.alert_capacity,
+                records: RecordDecodeStats::default(),
+                records_lost: 0,
+                tick_gaps: 0,
+                health_transitions: 0,
+                last_tick: None,
+                pending_tick: None,
+                cadence: config.nominal_tick_gap,
+                last_health: None,
+                flags: FlagHistory::default(),
+                census: HealthCensus::default(),
+                alerts: Vec::new(),
+                alerts_raised: 0,
+                alerts_dropped: 0,
+            },
             config,
         }
     }
@@ -290,10 +309,9 @@ impl MeterSession {
             DropPolicy::DropOldest => {
                 self.queue.extend(bytes);
                 self.bytes_in += bytes.len() as u64;
-                while self.queue.len() > self.config.queue_capacity {
-                    self.queue.pop_front();
-                    self.bytes_dropped += 1;
-                }
+                let excess = self.queue.len().saturating_sub(self.config.queue_capacity);
+                self.queue.drain(..excess);
+                self.bytes_dropped += excess as u64;
                 bytes.len()
             }
         }
@@ -303,31 +321,78 @@ impl MeterSession {
     /// record into the session state. Returns records processed.
     pub fn poll(&mut self) -> usize {
         let mut processed = 0;
-        while let Some(b) = self.queue.pop_front() {
-            if let Some(payload) = self.decoder.push(b) {
-                self.accept_frame(&payload);
-                processed += 1;
-            }
+        let (head, tail) = self.queue.as_slices();
+        for part in [head, tail] {
+            self.decoder.decode(part, |d| {
+                if let Decoded::Frame(payload) = d {
+                    self.monitor.accept_frame(payload);
+                    processed += 1;
+                }
+            });
         }
+        self.queue.clear();
         processed
     }
 
     /// Ends the stream: drains the queue, then flushes the decoder (an
-    /// idle line is end-of-stream), folding any frames the flush recovers.
+    /// idle line is end-of-stream), folding any frames the flush recovers,
+    /// and charges a tick jump no later record could confirm.
     pub fn finish(&mut self) {
         self.poll();
-        for payload in self.decoder.flush() {
-            self.accept_frame(&payload);
-        }
+        self.decoder
+            .flush(|payload| self.monitor.accept_frame(payload));
+        self.monitor.settle_pending();
     }
 
+    /// The line index this session monitors.
+    pub fn line(&self) -> usize {
+        self.monitor.line
+    }
+
+    /// The health census of every record seen so far.
+    pub fn census(&self) -> &HealthCensus {
+        &self.monitor.census
+    }
+
+    /// The most recent health state reported on the wire.
+    pub fn last_health(&self) -> Option<HealthState> {
+        self.monitor.last_health
+    }
+
+    /// The alerts retained so far (capped at the config's
+    /// `alert_capacity`).
+    pub fn alerts(&self) -> &[Alert] {
+        &self.monitor.alerts
+    }
+
+    /// A snapshot of every counter the session maintains.
+    pub fn stats(&self) -> IngestStats {
+        let m = &self.monitor;
+        IngestStats {
+            bytes_in: self.bytes_in,
+            bytes_dropped: self.bytes_dropped,
+            bytes_deferred: self.bytes_deferred,
+            link: self.decoder.stats(),
+            records: m.records,
+            records_lost: m.records_lost,
+            tick_gaps: m.tick_gaps,
+            health_transitions: m.health_transitions,
+            alerts_raised: m.alerts_raised,
+            alerts_dropped: m.alerts_dropped,
+            flags: m.flags,
+        }
+    }
+}
+
+impl LineMonitor {
     fn accept_frame(&mut self, payload: &[u8]) {
         let outcome = TelemetryRecord::parse(payload);
         self.records.tally(&outcome);
         match outcome {
             Ok(record) => self.accept_record(&record),
             Err(_) => {
-                let tick = self.last_tick.unwrap_or(0);
+                // Alerted at the latest record's tick.
+                let tick = self.pending_tick.or(self.last_tick).unwrap_or(0);
                 self.raise(tick, AlertKind::Malformed);
             }
         }
@@ -338,23 +403,7 @@ impl MeterSession {
         self.flags.bubble += record.bubble as u64;
         self.flags.fouling += record.fouling as u64;
         self.flags.saturated += record.saturated as u64;
-        if let Some(last) = self.last_tick {
-            let gap = record.tick.wrapping_sub(last);
-            if self.cadence == 0 {
-                // Learning mode: the first gap defines the cadence.
-                self.cadence = gap.max(1);
-            } else if gap > self.cadence {
-                // Round to the nearest whole number of cadences; anything
-                // beyond one implies lost records.
-                let missed = (gap + self.cadence / 2) / self.cadence - 1;
-                if missed > 0 {
-                    self.records_lost += u64::from(missed);
-                    self.tick_gaps += 1;
-                    self.raise(record.tick, AlertKind::TickGap { missed });
-                }
-            }
-        }
-        self.last_tick = Some(record.tick);
+        self.track_tick(record.tick);
         if let Some(prev) = self.last_health {
             if prev != record.health {
                 self.health_transitions += 1;
@@ -370,9 +419,81 @@ impl MeterSession {
         self.last_health = Some(record.health);
     }
 
+    /// Folds one record's tick into the loss estimate.
+    ///
+    /// A record on cadence (one gap, or a short one) moves the anchor on.
+    /// Any other step — a forward jump of more than one cadence, or a
+    /// backward step (a wrapping gap of at least 2³¹) — is held pending:
+    /// the next record decides, by which of the two ticks it lies closer
+    /// to, whether the stream continues from the step or resumes the
+    /// anchor. A step the stream continues from is adopted, and a forward
+    /// jump is charged as lost records; a step the stream ignores was an
+    /// outlier, such as a forged record whose CRC happened to match, and
+    /// charges nothing. A backward step is never loss.
+    fn track_tick(&mut self, tick: u32) {
+        let Some(mut anchor) = self.last_tick else {
+            self.last_tick = Some(tick);
+            return;
+        };
+        if self.cadence == 0 {
+            // Learning mode: the first gap defines the cadence.
+            self.cadence = tick.wrapping_sub(anchor).max(1);
+            self.last_tick = Some(tick);
+            return;
+        }
+        if let Some(pending) = self.pending_tick.take() {
+            let distance = |from: u32| (tick.wrapping_sub(from) as i32).unsigned_abs();
+            if distance(pending) < distance(anchor) {
+                self.charge(anchor, pending);
+                anchor = pending;
+            }
+        }
+        let gap = tick.wrapping_sub(anchor);
+        if gap < BACKWARD_GAP && self.missed(gap) == 0 {
+            self.last_tick = Some(tick);
+        } else {
+            self.last_tick = Some(anchor);
+            self.pending_tick = Some(tick);
+        }
+    }
+
+    /// Records whole cadences skipped by a forward `gap`, rounded to the
+    /// nearest whole number of cadences; anything beyond one implies lost
+    /// records.
+    fn missed(&self, gap: u32) -> u32 {
+        if gap > self.cadence {
+            (gap + self.cadence / 2) / self.cadence - 1
+        } else {
+            0
+        }
+    }
+
+    /// Charges the step `from → to` once the stream has continued from it.
+    fn charge(&mut self, from: u32, to: u32) {
+        let gap = to.wrapping_sub(from);
+        if gap >= BACKWARD_GAP {
+            return;
+        }
+        let missed = self.missed(gap);
+        if missed > 0 {
+            self.records_lost += u64::from(missed);
+            self.tick_gaps += 1;
+            self.raise(to, AlertKind::TickGap { missed });
+        }
+    }
+
+    /// End of stream: a step nothing came after to refute is taken as
+    /// real.
+    fn settle_pending(&mut self) {
+        if let (Some(anchor), Some(pending)) = (self.last_tick, self.pending_tick.take()) {
+            self.charge(anchor, pending);
+            self.last_tick = Some(pending);
+        }
+    }
+
     fn raise(&mut self, tick: u32, kind: AlertKind) {
         self.alerts_raised += 1;
-        if self.alerts.len() < self.config.alert_capacity {
+        if self.alerts.len() < self.alert_capacity {
             self.alerts.push(Alert {
                 line: self.line,
                 tick,
@@ -380,44 +501,6 @@ impl MeterSession {
             });
         } else {
             self.alerts_dropped += 1;
-        }
-    }
-
-    /// The line index this session monitors.
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// The health census of every record seen so far.
-    pub fn census(&self) -> &HealthCensus {
-        &self.census
-    }
-
-    /// The most recent health state reported on the wire.
-    pub fn last_health(&self) -> Option<HealthState> {
-        self.last_health
-    }
-
-    /// The alerts retained so far (capped at the config's
-    /// `alert_capacity`).
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
-    /// A snapshot of every counter the session maintains.
-    pub fn stats(&self) -> IngestStats {
-        IngestStats {
-            bytes_in: self.bytes_in,
-            bytes_dropped: self.bytes_dropped,
-            bytes_deferred: self.bytes_deferred,
-            link: self.decoder.stats(),
-            records: self.records,
-            records_lost: self.records_lost,
-            tick_gaps: self.tick_gaps,
-            health_transitions: self.health_transitions,
-            alerts_raised: self.alerts_raised,
-            alerts_dropped: self.alerts_dropped,
-            flags: self.flags,
         }
     }
 }
@@ -724,6 +807,80 @@ mod tests {
             }),
             Some(3)
         );
+    }
+
+    #[test]
+    fn confirmed_tick_gap_is_charged_like_a_trailing_one() {
+        // The jump to 50 is charged once 60 continues from it.
+        let wire = wire_of(&[
+            record(0, HealthState::Healthy),
+            record(10, HealthState::Healthy),
+            record(50, HealthState::Healthy),
+            record(60, HealthState::Healthy),
+        ]);
+        let mut s = MeterSession::new(0, session_config());
+        feed(&mut s, &wire, 64);
+        s.finish();
+        let stats = s.stats();
+        assert_eq!((stats.tick_gaps, stats.records_lost), (1, 3));
+    }
+
+    #[test]
+    fn forged_tick_between_real_records_charges_only_the_real_gap() {
+        // A CRC-colliding record carrying tick 1 644 167 169 sits between
+        // ticks 301 and 322 (cadence 3). The stream resumes from 301, so
+        // the forged jump is an outlier: only 301 → 322 (six records) is
+        // lost, not the half-billion records each way of the false tick.
+        let mut ticks = vec![295, 298, 301, 1_644_167_169, 322, 325];
+        let wire = wire_of(
+            &ticks
+                .iter()
+                .map(|&t| record(t, HealthState::Healthy))
+                .collect::<Vec<_>>(),
+        );
+        let config = IngestConfig {
+            nominal_tick_gap: 3,
+            ..IngestConfig::default()
+        };
+        let mut s = MeterSession::new(0, config);
+        feed(&mut s, &wire, 64);
+        s.finish();
+        let stats = s.stats();
+        assert_eq!((stats.tick_gaps, stats.records_lost), (1, 6));
+        assert_eq!(stats.records.records, 6);
+
+        // The same stream without the forged record is charged identically.
+        ticks.remove(3);
+        let wire = wire_of(
+            &ticks
+                .iter()
+                .map(|&t| record(t, HealthState::Healthy))
+                .collect::<Vec<_>>(),
+        );
+        let mut s = MeterSession::new(0, config);
+        feed(&mut s, &wire, 64);
+        s.finish();
+        assert_eq!((s.stats().tick_gaps, s.stats().records_lost), (1, 6));
+    }
+
+    #[test]
+    fn backward_tick_steps_are_never_loss() {
+        // A forged tick behind the anchor is ignored; a counter restart the
+        // stream continues from is adopted without charging anything.
+        let wire = wire_of(&[
+            record(1_000_000, HealthState::Healthy),
+            record(1_000_010, HealthState::Healthy),
+            record(5, HealthState::Healthy),
+            record(1_000_020, HealthState::Healthy),
+            record(0, HealthState::Healthy),
+            record(10, HealthState::Healthy),
+            record(20, HealthState::Healthy),
+        ]);
+        let mut s = MeterSession::new(0, session_config());
+        feed(&mut s, &wire, 64);
+        s.finish();
+        let stats = s.stats();
+        assert_eq!((stats.tick_gaps, stats.records_lost), (0, 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use hotwire::isif::regs::addr;
 use hotwire::isif::sched::IpTask;
 use hotwire::isif::spi::{SpiEeprom, SpiMaster};
-use hotwire::isif::uart::{encode_frame, FrameDecoder};
+use hotwire::isif::uart::{encode_frame, Decoded, FrameDecoder};
 use hotwire::isif::{CalibrationStore, IsifPlatform, Scheduler};
 use hotwire::prelude::*;
 
@@ -74,13 +74,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut wire = vec![0x00, 0x37, 0xA5]; // noise, incl. a fake SOH
     wire.extend(encode_frame(b"v=101.3cm/s dir=fwd")?);
     let mut decoder = FrameDecoder::new();
-    decoder.flush(); // idle-line reset after the noise burst
+    decoder.flush(|_| {}); // idle-line reset after the noise burst
     let mut decoded = Vec::new();
-    for b in &wire[3..] {
-        if let Some(frame) = decoder.push(*b) {
-            decoded.push(frame);
+    decoder.decode(&wire[3..], |d| {
+        if let Decoded::Frame(frame) = d {
+            decoded.push(frame.to_vec());
         }
-    }
+    });
     println!(
         "uart: {} frame(s) decoded: {:?}",
         decoded.len(),
