@@ -18,7 +18,7 @@ use crate::AfeError;
 use hotwire_units::{Amps, Ohms, Volts, Watts};
 
 /// Static bridge component values.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BridgeConfig {
     /// Series resistor above the heater (`R1`).
     pub r_series_heater: Ohms,
@@ -83,7 +83,7 @@ impl BridgeConfig {
 }
 
 /// The solved DC operating point of the bridge.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BridgeOutputs {
     /// Midpoint difference `V(heater mid) − V(reference mid)` — the input to
     /// the instrumentation amplifier. Positive when the heater is *colder*
@@ -170,7 +170,7 @@ mod tests {
         // The interdigitated Rt spreads over a large die area with strong
         // coupling to the fluid, so its self-heating appears only as a
         // sub-kelvin setpoint shift absorbed by calibration. The design
-        // criterion enforced here: the reference branch burns a few per cent
+        // rule enforced here: the reference branch burns a few per cent
         // of the heater power at most.
         let b = bridge();
         let out = b.solve(Volts::new(5.0), Ohms::new(52.8), Ohms::new(1996.5));

@@ -61,7 +61,7 @@
 //! ```
 
 use hotwire_bench::experiments::{f2_fleet, f4_maintenance};
-use hotwire_bench::report;
+use hotwire_bench::report::{self, json_number};
 use hotwire_core::config::{fnv1a64, AfeTier, FlowMeterConfig};
 use hotwire_rig::fleet::{FleetOutcome, FleetSpec, LineSummary, LineVariation};
 use hotwire_rig::{LineConfig, Modality, ReferenceKind, Scenario, Windows};
@@ -348,14 +348,6 @@ fn checkpoint_exercise(
     }
     eprintln!("wrote {out_path}");
     ExitCode::SUCCESS
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn run_json(run: &FleetRun, jobs: usize) -> String {

@@ -38,7 +38,7 @@
 //! is the committed `BENCH_hotpath.json`), which would gate the run against
 //! itself.
 
-use hotwire_bench::report;
+use hotwire_bench::report::{self, json_number};
 use hotwire_core::config::AfeTier;
 use hotwire_core::{FlowMeter, FlowMeterConfig};
 use hotwire_physics::sensor::HeaterId;
@@ -194,14 +194,6 @@ fn measure_kernels(draws: u64, die_steps: u64) -> (f64, f64, f64) {
         }));
     }
     (uniform_ns, normal_ns, die_ns)
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn tier_json(run: &TierRun) -> String {

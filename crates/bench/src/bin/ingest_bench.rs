@@ -39,7 +39,7 @@
 //! itself.
 
 use hotwire_bench::experiments::f3_ingest;
-use hotwire_bench::report;
+use hotwire_bench::report::{self, json_number};
 use hotwire_core::config::{fnv1a64, AfeTier};
 use hotwire_rig::ingest::{absorb, feed, IngestConfig, IngestReport, LineIngest, MeterSession};
 use hotwire_rig::record::{HealthCensus, PolicyRecorder, RecordPolicy};
@@ -217,14 +217,6 @@ fn ledger_holds(r: &Replay) -> bool {
     // every corpus frame is a 16-byte record, 20 wire bytes.
     let frame_bytes = link.good_frames * 20;
     r.bytes == link.resyncs + frame_bytes + link.discarded_bytes
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn replay_json(r: &Replay, jobs: usize) -> String {

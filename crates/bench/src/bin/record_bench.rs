@@ -28,7 +28,7 @@
 //! is the committed `BENCH_record.json`), which would gate the run against
 //! itself.
 
-use hotwire_bench::report;
+use hotwire_bench::report::{self, json_number};
 use hotwire_core::config::FlowMeterConfig;
 use hotwire_core::HealthState;
 use hotwire_rig::{
@@ -144,14 +144,6 @@ fn endurance_spec(policy: RecordPolicy, duration_s: f64) -> RunSpec {
     .with_sample_period(0.01)
     .with_windows(Windows::settled(30.0, 0.0).with_err(30.0, f64::INFINITY))
     .with_record(policy)
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn path_json(run: &PathRun) -> String {

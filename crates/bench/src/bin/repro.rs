@@ -13,6 +13,7 @@
 //! ```
 
 use hotwire_bench::experiments::{self, Speed};
+use hotwire_bench::report::json_number;
 use hotwire_rig::obs::{self, ScopeObs};
 use hotwire_rig::{exec, Campaign, Histogram};
 use std::collections::BTreeMap;
@@ -338,15 +339,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// A finite f64 as JSON; NaN/∞ become `null` (JSON has no spelling for them).
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Flat counters as a JSON object, in the stable `as_pairs` order.

@@ -1,4 +1,4 @@
-//! Shared plumbing of the `*_bench` binaries' `--check` gates.
+//! Shared plumbing of the bench binaries' JSON reports and `--check` gates.
 
 use std::path::Path;
 
@@ -48,8 +48,18 @@ fn ci_out_name(baseline: &str) -> String {
     }
 }
 
+/// Renders `x` as a JSON number: `{}` formatting when finite, `null`
+/// otherwise (JSON has no NaN or infinity).
+pub fn json_number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Pulls `"<key>": <number>` out of a baseline report without a JSON
-/// parser (the repo vendors no serde_json). The first occurrence wins.
+/// parser (the workspace has no JSON crate). The first occurrence wins.
 pub fn parse_number(baseline: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let at = baseline.find(&needle)? + needle.len();
@@ -113,6 +123,16 @@ mod tests {
     fn missing_baseline_is_an_error() {
         let err = load_baseline(Some("no/such/BENCH.json"), "out.json").unwrap_err();
         assert!(err.contains("cannot read baseline"), "{err}");
+    }
+
+    #[test]
+    fn json_number_prints_finite_values_and_nulls_the_rest() {
+        assert_eq!(json_number(2.5), "2.5");
+        assert_eq!(json_number(-0.125), "-0.125");
+        assert_eq!(json_number(1e21), format!("{}", 1e21));
+        assert_eq!(json_number(f64::NAN), "null");
+        assert_eq!(json_number(f64::INFINITY), "null");
+        assert_eq!(json_number(f64::NEG_INFINITY), "null");
     }
 
     #[test]

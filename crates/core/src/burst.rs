@@ -15,7 +15,7 @@ use hotwire_physics::SensorEnvironment;
 use hotwire_units::{MetersPerSecond, Seconds, Watts};
 
 /// Burst schedule parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstConfig {
     /// Loop settle time at the start of the burst (discarded).
     pub settle: Seconds,

@@ -17,7 +17,7 @@ use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
 use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, ThermalConductance, Watts};
 
 /// A fitted King's-law calibration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KingCalibration {
     /// Zero-flow conductance term, W/K.
     pub a: f64,
@@ -30,7 +30,7 @@ pub struct KingCalibration {
 }
 
 /// One calibration observation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalPoint {
     /// Reference-meter velocity (magnitude).
     pub velocity: MetersPerSecond,
@@ -253,7 +253,7 @@ impl KingCalibration {
 /// i.e. power and conductance by `f²`. This is the overheat-denominator
 /// correction; water *property* drift (conductivity, Prandtl) is handled
 /// separately by [`KingCalibration::compensated_for`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TempCorrect {
     /// The servoed wire temperature.
     pub wire_temperature: hotwire_units::Celsius,

@@ -11,7 +11,7 @@ use hotwire_units::{Celsius, Hertz, KelvinDelta, MetersPerSecond, Ohms};
 /// constant current, constant power, or constant temperature. The former two
 /// feature simple circuit implementation while the latter … achiev\[es\] more
 /// robustness respect to changes of the temperature of the fluid itself."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingMode {
     /// Constant-temperature: the Wheatstone bridge + PI loop holds the wire
     /// at a fixed overheat above ambient (the paper's implementation).
@@ -33,7 +33,7 @@ pub enum OperatingMode {
 /// fast tier replaces the per-tick AFE with one quasi-static bridge solve and
 /// DC code per control frame plus a single coarse die step — a bounded-error
 /// approximation for fleet-scale studies, with the error pinned by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AfeTier {
     /// Every modulator tick simulated; bit-identical scalar/block paths.
     Exact,
@@ -43,7 +43,7 @@ pub enum AfeTier {
 
 /// Pulsed-drive settings (paper §4: "a pulsed voltage driving technique
 /// instead of continuous sensor biasing").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulsedConfig {
     /// Pulse period in control ticks.
     pub period_ticks: u32,
@@ -87,7 +87,7 @@ impl PulsedConfig {
 }
 
 /// Complete firmware configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowMeterConfig {
     /// Operating mode.
     pub mode: OperatingMode,

@@ -14,7 +14,7 @@
 //! turbulence noise.
 
 /// Detected flow direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowDirection {
     /// Flow from heater A towards heater B (positive velocity).
     Forward,

@@ -12,7 +12,7 @@
 //!   long-term baseline flags it.
 
 /// Health flags raised by the detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultFlags {
     /// Spike rate above threshold: bubbles are forming/detaching.
     pub bubble_activity: bool,

@@ -27,9 +27,7 @@ use crate::faults::FaultFlags;
 
 /// The instrument's aggregate health, reported in every
 /// [`Measurement`](crate::flow_meter::Measurement) and telemetry record.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HealthState {
     /// No active faults; all monitors quiet.
     #[default]

@@ -27,7 +27,7 @@
 use crate::health::HealthState;
 
 /// Which calibration EEPROM slot a reload served from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalSlot {
     /// The primary record passed its CRC.
     Primary,
@@ -37,7 +37,7 @@ pub enum CalSlot {
 
 /// What happened. Variants carry only plain copyable data so events stay
 /// cheap to record and trivially comparable across runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The PI loop pinned the supply DAC at a rail for the saturation
     /// monitor's window (entry edge).
@@ -110,7 +110,7 @@ impl EventKind {
 }
 
 /// One observability event, stamped with the control tick it occurred on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Control-tick index at emission ([`FlowMeter::control_ticks`]).
     ///

@@ -15,7 +15,7 @@ use hotwire_units::{Seconds, Watts};
 pub const FOUR_AA_WH: f64 = 15.0;
 
 /// One operating state of the probe's duty cycle.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerState {
     /// Human-readable state name.
     pub name: &'static str,
@@ -26,7 +26,7 @@ pub struct PowerState {
 }
 
 /// A repeating duty cycle of power states.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DutyCycle {
     states: Vec<PowerState>,
 }

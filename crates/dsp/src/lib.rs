@@ -13,13 +13,12 @@
 //!
 //! * [`fix`] — saturating Q-format arithmetic ([`fix::Fx`], [`fix::Q15`], …)
 //! * [`cic`] — CIC decimator for the ΣΔ bitstream
-//! * [`fir`] — windowed-sinc FIR design + Q15 direct-form filter
-//! * [`iir`] — Butterworth biquad design + Q30 fixed-point biquads and the
-//!   single-pole 0.1 Hz output filter
+//! * [`iir`] — the single-pole 0.1 Hz output filter
 //! * [`pi`] — the PI controller closing the constant-temperature loop
-//! * [`dds`] — phase-accumulator sine generator
-//! * [`demod`] — I/Q demodulator (mixer + low-pass)
-//! * [`despike`] — median despiker and moving-average smoother
+//! * [`despike`] — the median despiker
+//!
+//! The paper's other digital IPs (sine generator, I/Q demodulators,
+//! FIR/polyphase filters) are not modelled: no firmware path uses them.
 //!
 //! # Example: decimating a ΣΔ bitstream
 //!
@@ -43,25 +42,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cic;
-pub mod dds;
-pub mod decimate;
-pub mod demod;
 pub mod despike;
 pub mod error;
-pub mod fir;
 pub mod fix;
-pub mod goertzel;
 pub mod iir;
 pub mod pi;
 
 pub use cic::CicDecimator;
-pub use dds::SineGenerator;
-pub use decimate::PolyphaseDecimator;
-pub use demod::IqDemodulator;
-pub use despike::{Median5, MovingAverage};
+pub use despike::Median5;
 pub use error::DspError;
-pub use fir::FirFilter;
 pub use fix::{Fx, Q15, Q16, Q30};
-pub use goertzel::Goertzel;
-pub use iir::{Biquad, SinglePoleLp};
+pub use iir::SinglePoleLp;
 pub use pi::PiController;

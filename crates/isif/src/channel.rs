@@ -19,7 +19,7 @@ use hotwire_units::{Amps, Hertz, Volts};
 use rand::Rng;
 
 /// The programmable readout mode of the channel's input stage.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReadoutMode {
     /// Differential instrumentation amplifier (the MAF bridge readout).
     Instrumentation,

@@ -15,15 +15,17 @@
 //! * [`channel`] — one analog input channel: readout mode → in-amp →
 //!   anti-alias → ΣΔ modulator → decimation chain to 16-bit samples
 //! * [`sched`] — the software-IP scheduler with a per-tick LEON cycle budget
-//! * [`timer`] — periodic timers and the watchdog
+//! * [`timer`] — the watchdog
 //! * [`eeprom`] — CRC-protected calibration storage
-//! * [`uart`] — telemetry framing (encoder/decoder state machine)
+//! * [`uart`] — telemetry framing (encoder and slice decoder)
 //! * [`platform`] — the assembled [`platform::IsifPlatform`]
 //!
 //! The substitution from the real chip is documented in `DESIGN.md`: no
 //! SPARC-V8 interpreter — software IPs are Rust closures scheduled at the
 //! decimated control rate with an explicit cycle budget, which preserves the
 //! data rates, wordlengths and HW/SW structure without emulating an ISA.
+//! The SPI master and the periodic timers are named by the paper but not
+//! modelled, because no firmware path uses them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,7 +36,6 @@ pub mod error;
 pub mod platform;
 pub mod regs;
 pub mod sched;
-pub mod spi;
 pub mod timer;
 pub mod uart;
 
@@ -44,5 +45,4 @@ pub use error::IsifError;
 pub use platform::IsifPlatform;
 pub use regs::RegisterFile;
 pub use sched::{IpTask, Scheduler};
-pub use spi::{SpiDevice, SpiEeprom, SpiMaster};
-pub use timer::{Timer, Watchdog};
+pub use timer::Watchdog;

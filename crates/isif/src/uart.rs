@@ -56,7 +56,7 @@ pub enum Decoded<'a> {
 /// together close the byte ledger: every byte decoded is either skipped
 /// while hunting (`resyncs`), part of a decoded frame, discarded
 /// (`discarded_bytes`), or still in flight inside the decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
     /// Frames decoded successfully (including recovered ones).
     pub good_frames: u64,

@@ -32,7 +32,7 @@ use hotwire_units::{Celsius, Seconds};
 use rand::Rng;
 
 /// Rate parameters of the bubble coverage model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleParams {
     /// Coverage growth rate per kelvin of excess superheat, 1/(K·s).
     pub growth_rate_per_k: f64,
@@ -83,7 +83,7 @@ impl Default for BubbleParams {
 }
 
 /// The evolving bubble layer on one heater face.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleLayer {
     params: BubbleParams,
     coverage: f64,

@@ -9,7 +9,7 @@
 use hotwire_units::{Celsius, Pascals};
 
 /// A snapshot of thermophysical fluid properties at one temperature.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FluidProperties {
     /// Density ρ in kg/m³.
     pub density: f64,
@@ -58,7 +58,7 @@ pub trait Fluid: core::fmt::Debug {
 /// Property fits are low-order polynomials valid over 0–90 °C, accurate to a
 /// few per mil against IAPWS tabulations — far tighter than the model error
 /// anywhere else in this simulator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Water {
     /// Dissolved-air saturation fraction (1.0 = fully air-saturated at
     /// atmospheric pressure, 0.0 = perfectly degassed).
@@ -133,7 +133,7 @@ impl Fluid for Water {
 }
 
 /// Dry air at atmospheric pressure — the MAF sensor's original medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Air;
 
 impl Fluid for Air {

@@ -34,7 +34,7 @@ use hotwire_units::{Celsius, Seconds, ThermalResistance};
 pub const CACO3_CONDUCTIVITY: f64 = 2.2;
 
 /// Surface finish of the sensor face, which sets the deposit sticking factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Passivation {
     /// Bare SiO₂/metal face — deposits stick readily.
     Bare,
@@ -54,7 +54,7 @@ impl Passivation {
 }
 
 /// Rate parameters of the scale-deposition model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FoulingParams {
     /// Deposition rate at reference conditions (30 °f water, 25 °C wall,
     /// bare surface), in µm per hour of exposure.
@@ -114,7 +114,7 @@ impl Default for FoulingParams {
 }
 
 /// The evolving CaCO₃ layer on one heater face.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FoulingLayer {
     params: FoulingParams,
     passivation: Passivation,

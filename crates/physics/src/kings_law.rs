@@ -32,7 +32,7 @@ use hotwire_units::{Celsius, KelvinDelta, Meters, MetersPerSecond, ThermalConduc
 /// let v = king.velocity_from_conductance(g1);
 /// assert!((v.get() - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KingsLaw {
     /// Free-convection/conduction term `A` in W/K.
     a: f64,
@@ -43,7 +43,7 @@ pub struct KingsLaw {
 }
 
 /// Geometry of the heated wire/film for the first-principles constructor.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireGeometry {
     /// Effective hydraulic diameter of the hot film/wire.
     pub diameter: Meters,

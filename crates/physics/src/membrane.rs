@@ -22,7 +22,7 @@ use hotwire_units::{
 };
 
 /// Static parameters of one membrane thermal node.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembraneParams {
     /// Heat capacity of the heated region (J/K).
     pub heat_capacity: HeatCapacity,
@@ -67,7 +67,7 @@ impl Default for MembraneParams {
 }
 
 /// Degradation of the front-face convection path (bubbles, scale).
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SurfaceCondition {
     /// Fraction of the heater face blanketed by gas bubbles, `0..=1`.
     /// A vapour/gas blanket conducts far worse than water.
@@ -171,7 +171,7 @@ impl Default for DecayCache {
 }
 
 /// The evolving thermal state of one membrane node.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembraneState {
     temperature: Celsius,
 }

@@ -21,7 +21,7 @@ pub const RE_LAMINAR: f64 = 2300.0;
 pub const RE_TURBULENT: f64 = 4000.0;
 
 /// A straight measurement pipe with an insertion probe near the axis.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pipe {
     inner_diameter: Meters,
 }

@@ -28,7 +28,7 @@ use hotwire_units::{Celsius, Ohms};
 /// assert!((r.get() - 53.5).abs() < 1e-9);
 /// assert!((heater.temperature(r).get() - 40.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rtd {
     r0: Ohms,
     alpha_per_k: f64,

@@ -35,7 +35,7 @@ use rand::Rng;
 ///
 /// A closed enum rather than a generic keeps [`MafDie`] object-simple for the
 /// platform code while still dispatching to the right property model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FluidMedium {
     /// Liquid water (the paper's deployment medium).
     Water(Water),
@@ -77,7 +77,7 @@ impl Fluid for FluidMedium {
 }
 
 /// Identifies one of the two heaters on the die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeaterId {
     /// Heater A — upstream for positive flow.
     A,
@@ -86,7 +86,7 @@ pub enum HeaterId {
 }
 
 /// Static parameters of the complete die.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MafParams {
     /// Nominal heater RTD (50 Ω Ti/TiN).
     pub heater: Rtd,
@@ -180,7 +180,7 @@ impl Default for MafParams {
 }
 
 /// Instantaneous environment of the die inside the pipe.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorEnvironment {
     /// Bulk fluid temperature at the probe.
     pub fluid_temperature: Celsius,

@@ -24,9 +24,8 @@
 //!   (`to_bits` hex) — round-tripping is lossless by construction, which
 //!   is what the bit-identity contract requires.
 //!
-//! The format is a versioned line-oriented text codec (the repo's
-//! `serde` is a masquerade marker, so the codec is hand-rolled like the
-//! trace CSV sink): human-greppable, diff-friendly, no dependencies.
+//! The format is a versioned line-oriented text codec, hand-rolled like
+//! the trace CSV sink: human-greppable, diff-friendly, no dependencies.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One injectable fault class.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The control ADC freezes at a fixed code (dead modulator). Starves
     /// the firmware's frozen-code watchdog discriminator.
@@ -127,7 +127,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Scenario time at which the fault engages, seconds.
     pub at_s: f64,
@@ -161,11 +161,11 @@ impl FaultEvent {
 /// A declarative, seeded schedule of faults for one run.
 ///
 /// The schedule travels inside a [`RunSpec`](crate::campaign::RunSpec)
-/// (see [`RunSpec::with_faults`](crate::campaign::RunSpec::with_faults)),
+/// (see [`LineConfig::with_faults`](crate::campaign::LineConfig::with_faults)),
 /// so a fault campaign is exactly as deterministic as a healthy one: the
 /// injected byte noise is driven by `seed`, never by wall-clock or thread
 /// scheduling.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// Seed for the injection noise (UART byte corruption draws).
     pub seed: u64,
@@ -198,7 +198,7 @@ impl FaultSchedule {
 }
 
 /// Telemetry-link bookkeeping collected by the UART fault simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UartStats {
     /// Telemetry frames encoded onto the simulated wire.
     pub frames_sent: u64,

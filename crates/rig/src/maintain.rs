@@ -163,7 +163,7 @@ impl Default for Maintenance {
 
 /// What a policy engine did over one line — the recalibration-cost side
 /// of the f4 frontier. Merges like the fleet's other aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintenanceCounters {
     /// Drift-reference re-zeros (no calibration change).
     pub re_zeros: u64,

@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Which instrument a spec's lines carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Modality {
     /// The paper's CTA MEMS meter (default).
     Cta,
@@ -69,7 +69,7 @@ impl Modality {
 }
 
 /// Which reference instrument a [`ReferenceMeter`] wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferenceKind {
     /// Electromagnetic (Promag 50).
     Promag,
@@ -139,6 +139,10 @@ impl ReferenceMeter {
 
 impl Meter for ReferenceMeter {
     fn step(&mut self, env: SensorEnvironment) -> Option<Measurement> {
+        Some(self.step_frame(env))
+    }
+
+    fn step_frame(&mut self, env: SensorEnvironment) -> Measurement {
         let bulk = MetersPerSecond::new(env.velocity.get() / Self::profile_factor());
         self.last = match self.kind {
             ReferenceKind::Promag => self.promag.step(self.control_dt, bulk, &mut self.rng),
@@ -165,11 +169,7 @@ impl Meter for ReferenceMeter {
             tick: self.tick,
         };
         self.tick += 1;
-        Some(m)
-    }
-
-    fn step_frame(&mut self, env: SensorEnvironment) -> Measurement {
-        self.step(env).expect("reference meters emit every tick")
+        m
     }
 
     fn frame_phase(&self) -> u32 {

@@ -4,7 +4,7 @@ use hotwire_units::Seconds;
 
 /// One piecewise-linear segment: holds `start` and ramps linearly to `end`
 /// over `duration`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Value at the start of the segment.
     pub start: f64,
@@ -26,7 +26,7 @@ pub struct Segment {
 /// assert!((s.value_at(2.5) - 1.5).abs() < 1e-12);
 /// assert_eq!(s.value_at(100.0), 2.0); // clamps to the last value
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     segments: Vec<Segment>,
 }
@@ -224,7 +224,7 @@ impl Schedule {
 
 /// A complete line scenario: bulk flow (cm/s), absolute pressure (bar) and
 /// fluid temperature (°C) schedules.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Bulk flow speed in cm/s (signed; negative = reverse).
     pub flow_cm_s: Schedule,

@@ -26,8 +26,8 @@
 //! * Same-unit addition/subtraction and scaling by `f64` are always available.
 //! * Affine quantities (temperature) distinguish points ([`Celsius`]) from
 //!   intervals ([`KelvinDelta`]).
-//! * All types are `Copy`, `PartialEq`, `PartialOrd`, `Debug`, `Display`,
-//!   `Default`, and serde-serializable.
+//! * All types are `Copy`, `PartialEq`, `PartialOrd`, `Debug`, `Display`
+//!   and `Default`.
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 

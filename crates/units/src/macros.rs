@@ -4,26 +4,16 @@
 ///
 /// Generates: `new`/`get`/`abs`/`clamp` inherent methods, `Add`, `Sub`, `Neg`,
 /// `Mul<f64>`, `Div<f64>`, `f64 * Self`, `Div<Self> -> f64` (ratio),
-/// `AddAssign`/`SubAssign`, `Sum`, `Display` with the unit symbol, and serde
-/// derives. Same-unit comparison comes from `PartialOrd`.
+/// `AddAssign`/`SubAssign`, `Sum` and `Display` with the unit symbol.
+/// Same-unit comparison comes from `PartialOrd`.
 macro_rules! quantity {
     (
         $(#[$meta:meta])*
         $name:ident, $symbol:literal
     ) => {
         $(#[$meta])*
-        #[derive(
-            Debug,
-            Clone,
-            Copy,
-            PartialEq,
-            PartialOrd,
-            Default,
-            serde::Serialize,
-            serde::Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         #[repr(transparent)]
-        #[serde(transparent)]
         pub struct $name(f64);
 
         impl $name {

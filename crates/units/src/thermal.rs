@@ -69,11 +69,8 @@ impl ThermalResistance {
 /// assert_eq!(wire.get(), 35.0);
 /// assert_eq!((wire - fluid).get(), 20.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 #[repr(transparent)]
-#[serde(transparent)]
 pub struct Celsius(f64);
 
 impl Celsius {
@@ -112,11 +109,8 @@ impl Celsius {
 }
 
 /// A temperature point on the Kelvin scale (K).
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 #[repr(transparent)]
-#[serde(transparent)]
 pub struct Kelvin(f64);
 
 impl Kelvin {

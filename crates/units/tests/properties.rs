@@ -102,16 +102,15 @@ proptest! {
     }
 
     #[test]
-    fn serde_round_trip(a in finite()) {
+    fn from_get_round_trip(a in finite()) {
         let v = Volts::new(a);
-        let json = serde_json_like_round_trip(v.get());
-        prop_assert_eq!(json, v.get());
+        let back = from_round_trip(v.get());
+        prop_assert_eq!(back, v.get());
     }
 }
 
-/// Serde is `#[serde(transparent)]`; emulate a round-trip through the
-/// serializer contract by using the `From` conversions (no serde_json dep).
-fn serde_json_like_round_trip(x: f64) -> f64 {
+/// Wraps `x` as a quantity and unwraps it again through `From<Volts> for f64`.
+fn from_round_trip(x: f64) -> f64 {
     let v = Volts::new(x);
     f64::from(v)
 }

@@ -155,7 +155,7 @@ fn disabling_observability_leaves_the_trace_bare() {
 
 #[test]
 fn merged_snapshots_are_jobs_invariant_under_faults() {
-    // The acceptance criterion stated at the campaign layer, checked here
+    // The acceptance condition stated at the campaign layer, checked here
     // through the public facade: merged obs snapshots (counters,
     // histograms, labelled event logs) are bit-identical across --jobs 1
     // and --jobs 4, fault schedules included.
