@@ -26,11 +26,16 @@ use hotwire_units::Volts;
 /// assert!((mean - 0.5).abs() < 0.01);
 /// # Ok::<(), hotwire_afe::AfeError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SigmaDeltaModulator {
-    pub(crate) vref: f64,
-    pub(crate) i1: f64,
-    pub(crate) i2: f64,
+///
+/// For `N > 1` the type is a bank of `N` modulators stepped in lockstep,
+/// their references and integrators held in lane arrays; the default
+/// `N = 1` is one modulator, and [`push_lanes`](Self::push_lanes) is the one
+/// per-sample loop either way.
+#[derive(Debug, Clone, Copy)]
+pub struct SigmaDeltaModulator<const N: usize = 1> {
+    vref: [f64; N],
+    i1: [f64; N],
+    i2: [f64; N],
 }
 
 impl SigmaDeltaModulator {
@@ -42,64 +47,78 @@ impl SigmaDeltaModulator {
     pub fn new(vref: Volts) -> Result<Self, AfeError> {
         ensure_positive("vref", vref.get())?;
         Ok(SigmaDeltaModulator {
-            vref: vref.get(),
-            i1: 0.0,
-            i2: 0.0,
+            vref: [vref.get()],
+            i1: [0.0],
+            i2: [0.0],
         })
     }
 
     /// Full-scale reference.
     #[inline]
     pub fn vref(&self) -> Volts {
-        Volts::new(self.vref)
+        Volts::new(self.vref[0])
     }
 
     /// Converts one input sample to a ±1 bit.
     ///
     /// Inputs beyond ±vref are clipped (the modulator overloads gracefully
     /// rather than going unstable).
+    #[inline]
     pub fn push(&mut self, v_in: Volts) -> i32 {
-        // Normalize, clip to the stable input range of a 2nd-order 1-bit
-        // loop (~±0.9 FS).
-        let u = (v_in.get() / self.vref).clamp(-0.9, 0.9);
-        let y = if self.i2 >= 0.0 { 1.0 } else { -1.0 };
-        // Boser–Wooley: halved gains, feedback into both integrators.
-        self.i1 += 0.5 * (u - y);
-        self.i2 += 0.5 * (self.i1 - y);
-        y as i32
+        let [bit] = self.push_lanes([v_in.get()]);
+        bit
+    }
+}
+
+impl<const N: usize> SigmaDeltaModulator<N> {
+    /// Banks `modulators` lane by lane.
+    pub fn from_lanes(modulators: [SigmaDeltaModulator; N]) -> Self {
+        SigmaDeltaModulator {
+            vref: core::array::from_fn(|j| modulators[j].vref[0]),
+            i1: core::array::from_fn(|j| modulators[j].i1[0]),
+            i2: core::array::from_fn(|j| modulators[j].i2[0]),
+        }
     }
 
-    /// Converts a block of input samples (volts) to ±1 bits, advancing one
-    /// modulator tick per element. Bit-identical to calling
-    /// [`push`](Self::push) per element — the loop integrators are hoisted
-    /// into locals so the inner loop runs over registers with no
-    /// pointer-chased state.
+    /// Lane `j` of the bank as a single modulator.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` and `bits` differ in length.
-    pub fn step_block(&mut self, inputs: &[f64], bits: &mut [i32]) {
-        assert_eq!(inputs.len(), bits.len());
-        // `v / vref` must stay a division (not a reciprocal multiply) to
-        // keep the block path bit-identical to `push`.
-        let vref = self.vref;
-        let mut i1 = self.i1;
-        let mut i2 = self.i2;
-        for (&v, b) in inputs.iter().zip(bits.iter_mut()) {
-            let u = (v / vref).clamp(-0.9, 0.9);
-            let y = if i2 >= 0.0 { 1.0 } else { -1.0 };
-            i1 += 0.5 * (u - y);
-            i2 += 0.5 * (i1 - y);
-            *b = y as i32;
+    /// Panics if `j >= N`.
+    pub fn lane(&self, j: usize) -> SigmaDeltaModulator {
+        SigmaDeltaModulator {
+            vref: [self.vref[j]],
+            i1: [self.i1[j]],
+            i2: [self.i2[j]],
         }
-        self.i1 = i1;
-        self.i2 = i2;
+    }
+
+    /// Converts one input sample (volts) per lane to a ±1 bit.
+    #[inline]
+    pub fn push_lanes(&mut self, v_in: [f64; N]) -> [i32; N] {
+        let mut bits = [0; N];
+        for j in 0..N {
+            // Normalize, clip to the stable input range of a 2nd-order
+            // 1-bit loop (~±0.9 FS). `v / vref` stays a division: a
+            // reciprocal multiply would round differently.
+            let u = (v_in[j] / self.vref[j]).clamp(-0.9, 0.9);
+            let (y, bit) = if self.i2[j] >= 0.0 {
+                (1.0, 1)
+            } else {
+                (-1.0, -1)
+            };
+            // Boser–Wooley: halved gains, feedback into both integrators.
+            self.i1[j] += 0.5 * (u - y);
+            self.i2[j] += 0.5 * (self.i1[j] - y);
+            bits[j] = bit;
+        }
+        bits
     }
 
     /// Clears the loop integrators.
     pub fn reset(&mut self) {
-        self.i1 = 0.0;
-        self.i2 = 0.0;
+        self.i1 = [0.0; N];
+        self.i2 = [0.0; N];
     }
 }
 
@@ -130,7 +149,7 @@ mod tests {
         let mut adc = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
         let mean = bitstream_mean(&mut adc, 10.0, 100_000);
         assert!((mean - 0.9).abs() < 0.01, "overloaded mean {mean}");
-        assert!(adc.i1.is_finite() && adc.i2.is_finite());
+        assert!(adc.i1[0].is_finite() && adc.i2[0].is_finite());
     }
 
     #[test]
@@ -139,7 +158,10 @@ mod tests {
         for i in 0..1_000_000 {
             let v = 2.0 * (core::f64::consts::TAU * 1000.0 * i as f64 / 256_000.0).sin();
             adc.push(Volts::new(v));
-            assert!(adc.i1.abs() < 20.0 && adc.i2.abs() < 20.0, "state blew up");
+            assert!(
+                adc.i1[0].abs() < 20.0 && adc.i2[0].abs() < 20.0,
+                "state blew up"
+            );
         }
     }
 
@@ -189,45 +211,13 @@ mod tests {
         let mut adc = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
         bitstream_mean(&mut adc, 2.0, 1000);
         adc.reset();
-        assert_eq!(adc.i1, 0.0);
-        assert_eq!(adc.i2, 0.0);
+        assert_eq!(adc.i1, [0.0]);
+        assert_eq!(adc.i2, [0.0]);
     }
 
     #[test]
     fn rejects_bad_vref() {
         assert!(SigmaDeltaModulator::new(Volts::ZERO).is_err());
         assert!(SigmaDeltaModulator::new(Volts::new(-1.0)).is_err());
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn step_block_is_bit_identical_to_scalar_push(
-                // ±30 V on a 2.5 V vref drives the loop deep into overload
-                // clipping as well as across the linear range.
-                xs in proptest::collection::vec(-30.0f64..30.0, 1..300),
-                split in 0usize..300
-            ) {
-                let mut scalar = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
-                let mut block = scalar.clone();
-                let expected: Vec<i32> =
-                    xs.iter().map(|&v| scalar.push(Volts::new(v))).collect();
-                // Split the block at an arbitrary point: integrator state
-                // must carry across the seam exactly as per-sample calls
-                // would leave it.
-                let mut bits = vec![0i32; xs.len()];
-                let cut = split % xs.len();
-                let (lo, hi) = xs.split_at(cut);
-                let (bl, bh) = bits.split_at_mut(cut);
-                block.step_block(lo, bl);
-                block.step_block(hi, bh);
-                prop_assert_eq!(&bits, &expected);
-                prop_assert_eq!(block.i1.to_bits(), scalar.i1.to_bits());
-                prop_assert_eq!(block.i2.to_bits(), scalar.i2.to_bits());
-            }
-        }
     }
 }

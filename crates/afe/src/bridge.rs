@@ -65,6 +65,7 @@ impl BridgeConfig {
 
     /// Solves the bridge DC operating point for supply `u_b` and instantaneous
     /// element resistances.
+    #[inline]
     pub fn solve(&self, u_b: Volts, rh: Ohms, rt: Ohms) -> BridgeOutputs {
         let i_heater: Amps = u_b / (self.r_series_heater + rh);
         let i_reference: Amps = u_b / (self.r_series_reference + rt);

@@ -9,12 +9,16 @@ use crate::error::ensure_positive;
 use crate::AfeError;
 use hotwire_units::{Hertz, Volts};
 
-/// A two-pole continuous-time anti-alias filter.
-#[derive(Debug, Clone)]
-pub struct AntiAliasFilter {
-    pub(crate) alpha: f64,
-    pub(crate) s1: f64,
-    pub(crate) s2: f64,
+/// A two-pole continuous-time anti-alias filter — or, for `N > 1`, a bank
+/// of `N` such filters stepped in lockstep with their coefficients and pole
+/// states held in lane arrays. The default `N = 1` is one filter;
+/// [`push_lanes`](Self::push_lanes) is the one per-sample transfer either
+/// way.
+#[derive(Debug, Clone, Copy)]
+pub struct AntiAliasFilter<const N: usize = 1> {
+    alpha: [f64; N],
+    s1: [f64; N],
+    s2: [f64; N],
 }
 
 impl AntiAliasFilter {
@@ -38,39 +42,58 @@ impl AntiAliasFilter {
         }
         let alpha = 1.0 - (-core::f64::consts::TAU * corner.get() / sample_rate.get()).exp();
         Ok(AntiAliasFilter {
-            alpha,
-            s1: 0.0,
-            s2: 0.0,
+            alpha: [alpha],
+            s1: [0.0],
+            s2: [0.0],
         })
     }
 
     /// Filters one sample.
+    #[inline]
     pub fn push(&mut self, x: Volts) -> Volts {
-        self.s1 += self.alpha * (x.get() - self.s1);
-        self.s2 += self.alpha * (self.s1 - self.s2);
-        Volts::new(self.s2)
+        let [y] = self.push_lanes([x.get()]);
+        Volts::new(y)
     }
+}
 
-    /// Filters a block of samples (volts) in place. Bit-identical to calling
-    /// [`push`](Self::push) per element — both pole states are hoisted into
-    /// locals so the loop runs over registers.
-    pub fn push_block(&mut self, samples: &mut [f64]) {
-        let alpha = self.alpha;
-        let mut s1 = self.s1;
-        let mut s2 = self.s2;
-        for x in samples.iter_mut() {
-            s1 += alpha * (*x - s1);
-            s2 += alpha * (s1 - s2);
-            *x = s2;
+impl<const N: usize> AntiAliasFilter<N> {
+    /// Banks `filters` lane by lane.
+    pub fn from_lanes(filters: [AntiAliasFilter; N]) -> Self {
+        AntiAliasFilter {
+            alpha: core::array::from_fn(|j| filters[j].alpha[0]),
+            s1: core::array::from_fn(|j| filters[j].s1[0]),
+            s2: core::array::from_fn(|j| filters[j].s2[0]),
         }
-        self.s1 = s1;
-        self.s2 = s2;
     }
 
-    /// Clears both pole states.
+    /// Lane `j` of the bank as a single filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= N`.
+    pub fn lane(&self, j: usize) -> AntiAliasFilter {
+        AntiAliasFilter {
+            alpha: [self.alpha[j]],
+            s1: [self.s1[j]],
+            s2: [self.s2[j]],
+        }
+    }
+
+    /// Filters one sample per lane (volts).
+    #[allow(clippy::needless_range_loop)] // one lane index across several lane arrays
+    #[inline]
+    pub fn push_lanes(&mut self, x: [f64; N]) -> [f64; N] {
+        for j in 0..N {
+            self.s1[j] += self.alpha[j] * (x[j] - self.s1[j]);
+            self.s2[j] += self.alpha[j] * (self.s1[j] - self.s2[j]);
+        }
+        self.s2
+    }
+
+    /// Clears every pole state.
     pub fn reset(&mut self) {
-        self.s1 = 0.0;
-        self.s2 = 0.0;
+        self.s1 = [0.0; N];
+        self.s2 = [0.0; N];
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::error::{ensure_in_range, ensure_positive};
 use crate::noise::{noise_sample, FlickerNoise};
 use crate::AfeError;
+use hotwire_physics::stochastic::standard_normal;
 use hotwire_units::{Hertz, Volts};
 use rand::Rng;
 
@@ -71,19 +72,129 @@ impl Default for InAmpConfig {
     }
 }
 
+/// An amplifier's output pole with its per-block constants folded in
+/// ([`InstrumentationAmp::pole`]): offset at the chip over-temperature,
+/// gain and gain error, pole coefficient and rails. For `N > 1` it banks
+/// `N` amplifiers' poles in lane arrays; [`step_lanes`](Self::step_lanes)
+/// is the amplifier's one per-sample transfer either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AmpPole<const N: usize = 1> {
+    state: [f64; N],
+    offset: [f64; N],
+    gain: [f64; N],
+    gain_scale: [f64; N],
+    alpha: [f64; N],
+    rail: [f64; N],
+}
+
+impl<const N: usize> AmpPole<N> {
+    /// Banks single poles lane by lane.
+    pub fn from_lanes(poles: [AmpPole; N]) -> Self {
+        AmpPole {
+            state: core::array::from_fn(|j| poles[j].state[0]),
+            offset: core::array::from_fn(|j| poles[j].offset[0]),
+            gain: core::array::from_fn(|j| poles[j].gain[0]),
+            gain_scale: core::array::from_fn(|j| poles[j].gain_scale[0]),
+            alpha: core::array::from_fn(|j| poles[j].alpha[0]),
+            rail: core::array::from_fn(|j| poles[j].rail[0]),
+        }
+    }
+
+    /// Lane `j` of the bank as a single pole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= N`.
+    pub fn lane(&self, j: usize) -> AmpPole {
+        AmpPole {
+            state: [self.state[j]],
+            offset: [self.offset[j]],
+            gain: [self.gain[j]],
+            gain_scale: [self.gain_scale[j]],
+            alpha: [self.alpha[j]],
+            rail: [self.rail[j]],
+        }
+    }
+
+    /// Amplifies one differential sample (volts) per lane, with its
+    /// pre-drawn input-referred noise, through the gain, the single
+    /// bandwidth pole and the rail clamp.
+    #[inline]
+    pub fn step_lanes(&mut self, v_diff: [f64; N], noise: [f64; N]) -> [f64; N] {
+        let mut out = [0.0; N];
+        for j in 0..N {
+            let ideal = (v_diff[j] + self.offset[j] + noise[j]) * self.gain[j] * self.gain_scale[j];
+            // Single-pole bandwidth limit at the sampler rate.
+            self.state[j] += self.alpha[j] * (ideal - self.state[j]);
+            out[j] = self.state[j].clamp(-self.rail[j], self.rail[j]);
+        }
+        out
+    }
+}
+
+/// An amplifier's input-referred noise source — white plus flicker — taken
+/// out with [`InstrumentationAmp::noise`] and handed back with
+/// [`InstrumentationAmp::set_noise`]. For `N > 1` it banks `N` amplifiers'
+/// sources in lane arrays; [`draw_lanes`](Self::draw_lanes) is the one
+/// per-tick draw either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AmpNoise<const N: usize = 1> {
+    /// Per-sample white-noise rms at the sample rate, volts.
+    white_rms: [f64; N],
+    flicker: FlickerNoise<N>,
+}
+
+impl<const N: usize> AmpNoise<N> {
+    /// Banks single sources lane by lane.
+    pub fn from_lanes(sources: [AmpNoise; N]) -> Self {
+        AmpNoise {
+            white_rms: core::array::from_fn(|j| sources[j].white_rms[0]),
+            flicker: FlickerNoise::from_lanes(core::array::from_fn(|j| sources[j].flicker)),
+        }
+    }
+
+    /// Lane `j` of the bank as a single source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= N`.
+    pub fn lane(&self, j: usize) -> AmpNoise {
+        AmpNoise {
+            white_rms: [self.white_rms[j]],
+            flicker: self.flicker.lane(j),
+        }
+    }
+
+    /// Draws one tick's input-referred noise sample per lane. The RNG is
+    /// read lane by lane — each lane's white sample, then its flicker
+    /// drive — which is the order `N` single sources drawn one after the
+    /// other read it in; the flicker poles then advance lane-wise.
+    #[inline]
+    pub fn draw_lanes<R: Rng + ?Sized>(&mut self, rng: &mut R) -> [f64; N] {
+        let mut white = [0.0; N];
+        let mut drive = [0.0; N];
+        for j in 0..N {
+            white[j] = noise_sample(rng, Volts::new(self.white_rms[j])).get();
+            drive[j] = standard_normal(rng);
+        }
+        let flicker = self.flicker.advance(drive);
+        core::array::from_fn(|j| white[j] + flicker[j])
+    }
+}
+
 /// The stateful amplifier (bandwidth pole + flicker generator).
 #[derive(Debug, Clone)]
 pub struct InstrumentationAmp {
-    pub(crate) config: InAmpConfig,
+    config: InAmpConfig,
     /// Output-pole state.
-    pub(crate) output_state: f64,
-    flicker: FlickerNoise,
+    output_state: f64,
     /// Discrete pole coefficient `1 − exp(−2π·bw/fs)`, a pure function of
     /// the configuration — precomputed once so the per-sample path carries
     /// no `exp`.
-    pub(crate) alpha: f64,
-    /// Per-sample white-noise rms at the configured sample rate.
-    white_rms: Volts,
+    alpha: f64,
+    /// White-noise rms at the configured sample rate and the flicker
+    /// generator.
+    noise: AmpNoise,
 }
 
 impl InstrumentationAmp {
@@ -98,15 +209,17 @@ impl InstrumentationAmp {
         config.validate()?;
         ensure_positive("sample_rate", sample_rate.get())?;
         // White noise folded into the Nyquist band of the sampler.
-        let white_rms = Volts::new(config.noise_density * (sample_rate.get() / 2.0).sqrt());
+        let white_rms = config.noise_density * (sample_rate.get() / 2.0).sqrt();
         let alpha =
             1.0 - (-core::f64::consts::TAU * config.bandwidth.get() / sample_rate.get()).exp();
         Ok(InstrumentationAmp {
-            flicker: FlickerNoise::new(config.flicker_rms.get(), sample_rate.get()),
+            noise: AmpNoise {
+                white_rms: [white_rms],
+                flicker: FlickerNoise::new(config.flicker_rms.get(), sample_rate.get()),
+            },
             config,
             output_state: 0.0,
             alpha,
-            white_rms,
         })
     }
 
@@ -119,7 +232,7 @@ impl InstrumentationAmp {
     /// Input-referred rms of the white-noise component at this sample rate.
     #[inline]
     pub fn white_noise_rms(&self) -> Volts {
-        self.white_rms
+        Volts::new(self.noise.white_rms[0])
     }
 
     /// Amplifies one differential sample. `chip_overtemp_k` is the chip
@@ -138,51 +251,63 @@ impl InstrumentationAmp {
     /// Draws the input-referred noise sample (white + flicker) for one tick
     /// — exactly the draws [`amplify`](Self::amplify) makes internally,
     /// split out so a block caller can pre-draw per-block noise sequences
-    /// in the scalar RNG order.
+    /// in the scalar RNG order. The one-lane case of
+    /// [`AmpNoise::draw_lanes`].
+    #[inline]
     pub fn draw_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        noise_sample(rng, self.white_rms).get() + self.flicker.next_sample(rng)
+        let [noise] = self.noise.draw_lanes(rng);
+        noise
+    }
+
+    /// The noise source, for banking several amplifiers' sources with
+    /// [`AmpNoise::from_lanes`]; [`set_noise`](Self::set_noise) hands the
+    /// advanced source back.
+    #[inline]
+    pub fn noise(&self) -> AmpNoise {
+        self.noise
+    }
+
+    /// Stores a noise source taken with [`noise`](Self::noise) and drawn
+    /// from since.
+    #[inline]
+    pub fn set_noise(&mut self, noise: AmpNoise) {
+        self.noise = noise;
     }
 
     /// Amplifies one sample whose noise was already drawn with
     /// [`draw_noise`](Self::draw_noise). Together the pair is bit-identical
     /// to [`amplify`](Self::amplify).
+    #[inline]
     pub fn amplify_with_noise(&mut self, v_diff: Volts, chip_overtemp_k: f64, noise: f64) -> Volts {
-        let offset =
-            self.config.input_offset.get() + self.config.offset_drift_per_k * chip_overtemp_k;
-        let ideal =
-            (v_diff.get() + offset + noise) * self.config.gain * (1.0 + self.config.gain_error);
-        // Single-pole bandwidth limit at the sampler rate.
-        self.output_state += self.alpha * (ideal - self.output_state);
-        Volts::new(
-            self.output_state
-                .clamp(-self.config.rail.get(), self.config.rail.get()),
-        )
+        let mut pole = self.pole(chip_overtemp_k);
+        let [v] = pole.step_lanes([v_diff.get()], [noise]);
+        self.set_pole(pole);
+        Volts::new(v)
     }
 
-    /// Amplifies a block of differential samples in place, consuming a
-    /// pre-drawn `noises` slice ([`draw_noise`](Self::draw_noise), one per
-    /// sample). Bit-identical to calling
-    /// [`amplify_with_noise`](Self::amplify_with_noise) per element — the
-    /// pole state is hoisted into locals so the loop runs over registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` and `noises` differ in length.
-    pub fn amplify_block(&mut self, samples: &mut [f64], noises: &[f64], chip_overtemp_k: f64) {
-        assert_eq!(samples.len(), noises.len());
-        let offset =
-            self.config.input_offset.get() + self.config.offset_drift_per_k * chip_overtemp_k;
-        let gain = self.config.gain;
-        let gain_scale = 1.0 + self.config.gain_error;
-        let alpha = self.alpha;
-        let rail = self.config.rail.get();
-        let mut state = self.output_state;
-        for (s, &n) in samples.iter_mut().zip(noises) {
-            let ideal = (*s + offset + n) * gain * gain_scale;
-            state += alpha * (ideal - state);
-            *s = state.clamp(-rail, rail);
+    /// The output pole with the per-block constants at chip over-temperature
+    /// `chip_overtemp_k` folded in — what a block walk steps per sample on a
+    /// local copy. [`set_pole`](Self::set_pole) stores the walked state
+    /// back.
+    #[inline]
+    pub fn pole(&self, chip_overtemp_k: f64) -> AmpPole {
+        AmpPole {
+            state: [self.output_state],
+            offset: [
+                self.config.input_offset.get() + self.config.offset_drift_per_k * chip_overtemp_k
+            ],
+            gain: [self.config.gain],
+            gain_scale: [1.0 + self.config.gain_error],
+            alpha: [self.alpha],
+            rail: [self.config.rail.get()],
         }
-        self.output_state = state;
+    }
+
+    /// Stores the state of a pole taken with [`pole`](Self::pole) and
+    /// stepped since.
+    #[inline]
+    pub fn set_pole(&mut self, pole: AmpPole) {
+        self.output_state = pole.state[0];
     }
 
     /// The amplifier's DC transfer — offset, gain and rail clamp with no

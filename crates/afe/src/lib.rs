@@ -23,7 +23,6 @@
 
 pub mod adc;
 pub mod bridge;
-pub mod chain;
 pub mod dac;
 pub mod error;
 pub mod filter;
@@ -35,4 +34,4 @@ pub use bridge::{BridgeConfig, BridgeOutputs};
 pub use dac::ThermometerDac;
 pub use error::AfeError;
 pub use filter::AntiAliasFilter;
-pub use inamp::InstrumentationAmp;
+pub use inamp::{AmpNoise, AmpPole, InstrumentationAmp};

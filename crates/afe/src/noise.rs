@@ -30,13 +30,19 @@ pub fn noise_sample<R: Rng + ?Sized>(rng: &mut R, rms: Volts) -> Volts {
 /// A stateful 1/f ("flicker") noise generator: the sum of three octave-spaced
 /// first-order low-passed white sources, a standard behavioural approximation
 /// good to ~1 dB over three decades.
-#[derive(Debug, Clone)]
-pub struct FlickerNoise {
-    states: [f64; 3],
+///
+/// For `N > 1` the type banks `N` generators, their pole states and
+/// coefficients in lane arrays (an [`AmpNoise`](crate::inamp::AmpNoise)
+/// bank's flicker half); the default `N = 1` is one generator, and one pole
+/// update serves both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlickerNoise<const N: usize = 1> {
+    /// Pole states, stage by stage.
+    states: [[f64; N]; 3],
     /// Per-stage pole coefficients.
-    alphas: [f64; 3],
+    alphas: [[f64; N]; 3],
     /// Output scale for unit rms.
-    scale: f64,
+    scale: [f64; N],
 }
 
 impl FlickerNoise {
@@ -45,29 +51,62 @@ impl FlickerNoise {
     pub fn new(rms: f64, fs: f64) -> Self {
         // Poles at fs/20, fs/200, fs/2000.
         let alphas = [
-            1.0 - (-core::f64::consts::TAU * (fs / 20.0) / fs).exp(),
-            1.0 - (-core::f64::consts::TAU * (fs / 200.0) / fs).exp(),
-            1.0 - (-core::f64::consts::TAU * (fs / 2000.0) / fs).exp(),
+            [1.0 - (-core::f64::consts::TAU * (fs / 20.0) / fs).exp()],
+            [1.0 - (-core::f64::consts::TAU * (fs / 200.0) / fs).exp()],
+            [1.0 - (-core::f64::consts::TAU * (fs / 2000.0) / fs).exp()],
         ];
         FlickerNoise {
-            states: [0.0; 3],
+            states: [[0.0]; 3],
             alphas,
             // Empirical normalization: the three-stage average has rms
             // ≈ 0.164 of the white drive (measured, see the calibration
             // test).
-            scale: rms / 0.164,
+            scale: [rms / 0.164],
         }
     }
 
     /// Draws the next flicker sample.
     pub fn next_sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let w = standard_normal(rng);
-        let mut sum = 0.0;
-        for (s, a) in self.states.iter_mut().zip(self.alphas) {
-            *s += a * (w - *s);
-            sum += *s;
+        let [x] = self.advance([standard_normal(rng)]);
+        x
+    }
+}
+
+impl<const N: usize> FlickerNoise<N> {
+    /// Banks `generators` lane by lane.
+    pub(crate) fn from_lanes(generators: [FlickerNoise; N]) -> Self {
+        FlickerNoise {
+            states: core::array::from_fn(|s| core::array::from_fn(|j| generators[j].states[s][0])),
+            alphas: core::array::from_fn(|s| core::array::from_fn(|j| generators[j].alphas[s][0])),
+            scale: core::array::from_fn(|j| generators[j].scale[0]),
         }
-        sum / 3.0 * self.scale
+    }
+
+    /// Lane `j` of the bank as a single generator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= N`.
+    pub(crate) fn lane(&self, j: usize) -> FlickerNoise {
+        FlickerNoise {
+            states: core::array::from_fn(|s| [self.states[s][j]]),
+            alphas: core::array::from_fn(|s| [self.alphas[s][j]]),
+            scale: [self.scale[j]],
+        }
+    }
+
+    /// Advances every lane's three poles on its white drive `w[j]` (one
+    /// standard normal each) and returns the lanes' flicker samples.
+    #[inline]
+    pub(crate) fn advance(&mut self, w: [f64; N]) -> [f64; N] {
+        let mut sum = [0.0; N];
+        for (states, alphas) in self.states.iter_mut().zip(&self.alphas) {
+            for j in 0..N {
+                states[j] += alphas[j] * (w[j] - states[j]);
+                sum[j] += states[j];
+            }
+        }
+        core::array::from_fn(|j| sum[j] / 3.0 * self.scale[j])
     }
 }
 

@@ -15,11 +15,12 @@
 //! The simulation is two-rate: everything in item 4 happens once per
 //! decimation frame, while items 1–3 repeat every modulator tick with
 //! piecewise-constant analog inputs (the supply code only changes on control
-//! ticks). [`FlowMeter::step_frame`] exploits that structure — it batches a
-//! whole frame of the modulator-rate inner loop through flat per-channel
-//! block kernels, bit-identical to `decimation` scalar steps at the default
-//! [`AfeTier::Exact`], or through a quasi-static once-per-frame AFE
-//! evaluation at the opt-in approximate [`AfeTier::Fast`].
+//! ticks). [`FlowMeter::step_frame`] exploits that structure — at the
+//! default [`AfeTier::Exact`] it evaluates the die's frame constants once,
+//! ticks the die and draws the three channels' noise per tick, then walks
+//! the three channel chains together as lanes of one block kernel,
+//! bit-identical to `decimation` scalar steps; at the opt-in approximate
+//! [`AfeTier::Fast`] it evaluates the AFE quasi-statically once per frame.
 
 use crate::calibration::{CalPoint, KingCalibration};
 use crate::config::{AfeTier, FlowMeterConfig, OperatingMode, PulsedConfig};
@@ -34,7 +35,7 @@ use crate::pulsed::{PulsePhase, PulsedScheduler};
 use crate::CoreError;
 use hotwire_afe::bridge::BridgeConfig;
 use hotwire_dsp::fix::SoaBlock;
-use hotwire_isif::channel::{AnalogInput, ChannelConfig};
+use hotwire_isif::channel::{AnalogInput, ChannelConfig, ChannelLanes, InputChannel};
 use hotwire_isif::IsifPlatform;
 use hotwire_physics::kings_law::KingsLaw;
 use hotwire_physics::sensor::HeaterId;
@@ -88,20 +89,38 @@ pub struct Measurement {
     pub tick: u64,
 }
 
-/// Number of per-frame scratch lanes (one per acquisition channel, indexed
-/// by the channel constants above).
-const CHANNEL_LANES: usize = 3;
+/// The acquisition channels in the order a tick draws their noise —
+/// direction, temperature, control — which is also the lane order of the
+/// frame walk.
+const LANES: [usize; 3] = [DIR_CHANNEL, TEMP_CHANNEL, CTRL_CHANNEL];
 
-/// Reusable scratch for the batched frame walk: a struct-of-arrays block
-/// with one lane per channel for the bridge differentials and the pre-drawn
-/// noise sequence, plus bitstream/code buffers for the block kernels.
-/// Allocated once per meter and reused so the hot loop never allocates.
+/// Borrows the three acquisition channels, in [`LANES`] order.
+fn lanes(platform: &mut IsifPlatform) -> [&mut InputChannel; 3] {
+    // `FlowMeter::new` configures every channel in `LANES`, and a platform
+    // can replace a channel's configuration but never remove a channel, so
+    // the borrow cannot fail for a constructed meter.
+    platform
+        .channels_mut(LANES)
+        .expect("FlowMeter::new configures every lane's channel")
+}
+
+/// The one code a frame-aligned block emits per lane.
+fn frame_code(codes: &[i32]) -> i32 {
+    debug_assert_eq!(codes.len(), 1, "frame-aligned block");
+    codes[0]
+}
+
+/// Reusable scratch for the batched frame walk: struct-of-arrays blocks
+/// with one lane per channel ([`LANES`] order) for the bridge
+/// differentials, the pre-drawn noise and the modulator bitstreams, plus
+/// one code buffer per lane. Allocated once per meter and reused so the
+/// hot loop never allocates.
 #[derive(Debug)]
 struct FrameScratch {
     diffs: SoaBlock<f64>,
     noises: SoaBlock<f64>,
-    bits: Vec<i32>,
-    codes: Vec<i32>,
+    bits: SoaBlock<i32>,
+    codes: [Vec<i32>; 3],
 }
 
 impl FrameScratch {
@@ -109,15 +128,18 @@ impl FrameScratch {
         FrameScratch {
             diffs: SoaBlock::new(0, 0),
             noises: SoaBlock::new(0, 0),
-            bits: Vec::new(),
-            codes: Vec::new(),
+            bits: SoaBlock::new(0, 0),
+            codes: Default::default(),
         }
     }
 
     fn prepare(&mut self, depth: usize) {
-        self.diffs.reshape(CHANNEL_LANES, depth);
-        self.noises.reshape(CHANNEL_LANES, depth);
-        self.bits.resize(depth, 0);
+        self.diffs.reshape(LANES.len(), depth);
+        self.noises.reshape(LANES.len(), depth);
+        self.bits.reshape(LANES.len(), depth);
+        for codes in &mut self.codes {
+            codes.clear();
+        }
     }
 }
 
@@ -480,48 +502,24 @@ impl FlowMeter {
 
         let ctrl_diff = (out_a.differential + out_b.differential) * 0.5;
         let dir_diff = out_a.differential - out_b.differential;
+        // Temperature channel: the Rt-arm midpoint against its
+        // calibration-time divider ratio.
+        let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
         // Chip self-heating above the 25 °C characterization point: the die
         // runs near the fluid temperature.
         let overtemp = env.fluid_temperature.get() - 25.0;
 
-        let dir_code = {
-            let chan = self
-                .platform
-                .channel_mut(DIR_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(AnalogInput::Differential(dir_diff), overtemp, &mut self.rng)
-        };
+        let [dir, temp, ctrl] = lanes(&mut self.platform);
+        let rng = &mut self.rng;
+        let dir_code = dir.sample(AnalogInput::Differential(dir_diff), overtemp, rng);
+        let temp_code = temp.sample(AnalogInput::Differential(temp_diff), overtemp, rng);
+        let ctrl_code = ctrl.sample(AnalogInput::Differential(ctrl_diff), overtemp, rng);
         if let Some(code) = dir_code {
             self.last_dir_code = code;
         }
-        // Temperature channel: the Rt-arm midpoint against its
-        // calibration-time divider ratio.
-        let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
-        let temp_code = {
-            let chan = self
-                .platform
-                .channel_mut(TEMP_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(temp_diff),
-                overtemp,
-                &mut self.rng,
-            )
-        };
         if let Some(code) = temp_code {
             self.last_temp_code = code;
         }
-        let ctrl_code = {
-            let chan = self
-                .platform
-                .channel_mut(CTRL_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(ctrl_diff),
-                overtemp,
-                &mut self.rng,
-            )
-        };
         let code = ctrl_code?;
         // Injected acquisition faults corrupt the code before the firmware
         // sees it — the firmware's own supervision has to catch them.
@@ -559,10 +557,10 @@ impl FlowMeter {
     ///
     /// At the default [`AfeTier::Exact`] the result is bit-identical to
     /// calling [`step`](Self::step) `decimation` times with the same
-    /// environment: the frame walk pre-draws every RNG value in the scalar
-    /// draw order (die step, then one noise draw each for the direction,
-    /// temperature and control channels per tick) before running the
-    /// per-channel block kernels, whose floating-point chains are mutually
+    /// environment: the frame walk draws every RNG value in the scalar
+    /// draw order (die tick, then one noise draw each for the direction,
+    /// temperature and control channels per tick) before walking the three
+    /// channel chains as lanes, whose floating-point chains are mutually
     /// independent. At [`AfeTier::Fast`] the AFE is instead evaluated
     /// quasi-statically once per frame — a bounded-error approximation for
     /// fleet-scale studies. Both tiers, and the scalar path, deposit scale
@@ -588,77 +586,66 @@ impl FlowMeter {
         }
     }
 
-    /// The exact frame walk: phase 1 runs the physics and pre-draws the
-    /// noise lanes tick by tick (preserving the scalar RNG order), phase 2
-    /// runs each channel's flat block kernel over its lane.
+    /// The exact frame walk. Phase 1 ticks the die on its frame constants
+    /// ([`MafDie::begin_frame`]) and draws the three channels' noise per
+    /// tick, preserving the scalar RNG order (die, then direction,
+    /// temperature and control); phase 2 walks the three channel chains
+    /// together as lanes of one block kernel.
     fn step_frame_exact(&mut self, env: SensorEnvironment) -> Measurement {
         let depth = self.config.decimation as usize;
-        self.frame.prepare(depth);
+        let frame_dt = self.frame_dt();
         let supply = self.platform.supply_voltage();
+        let temp_zero = supply * self.ref_ratio_cal;
         let overtemp = env.fluid_temperature.get() - 25.0;
+        self.frame.prepare(depth);
+        let mut lanes = ChannelLanes::new(lanes(&mut self.platform));
+        let [diff_dir, diff_temp, diff_ctrl] = self.frame.diffs.lanes_mut();
+        let [noise_dir, noise_temp, noise_ctrl] = self.frame.noises.lanes_mut();
 
+        let mut die_frame = self.die.begin_frame(self.dt, env);
         for k in 0..depth {
-            let rh_a = self.die.heater_resistance(HeaterId::A);
-            let rh_b = self.die.heater_resistance(HeaterId::B);
             let rt = self.die.reference_resistance();
-            let out_a = self.bridge.solve(supply, rh_a, rt);
-            let out_b = self.bridge.solve(supply, rh_b, rt);
-            self.die.step(
-                self.dt,
+            let out_a = self
+                .bridge
+                .solve(supply, self.die.heater_resistance(HeaterId::A), rt);
+            let out_b = self
+                .bridge
+                .solve(supply, self.die.heater_resistance(HeaterId::B), rt);
+            self.die.tick(
+                &mut die_frame,
                 out_a.heater_power,
                 out_b.heater_power,
-                env,
                 &mut self.rng,
             );
-            self.frame.diffs.lane_mut(CTRL_CHANNEL)[k] =
-                ((out_a.differential + out_b.differential) * 0.5).get();
-            self.frame.diffs.lane_mut(DIR_CHANNEL)[k] =
-                (out_a.differential - out_b.differential).get();
-            self.frame.diffs.lane_mut(TEMP_CHANNEL)[k] =
-                (out_a.reference_mid - supply * self.ref_ratio_cal).get();
-            // Scalar noise draw order within a tick: direction, temperature,
-            // control. The draws interleave with the die's across ticks, but
-            // each channel's own f64 chain only sees its own sequence.
-            for lane in [DIR_CHANNEL, TEMP_CHANNEL, CTRL_CHANNEL] {
-                let chan = self
-                    .platform
-                    .channel_mut(lane)
-                    .expect("configured in new()");
-                self.frame.noises.lane_mut(lane)[k] = chan.draw_noise(&mut self.rng);
-            }
+            diff_dir[k] = (out_a.differential - out_b.differential).get();
+            diff_temp[k] = (out_a.reference_mid - temp_zero).get();
+            diff_ctrl[k] = ((out_a.differential + out_b.differential) * 0.5).get();
+            let [dir, temp, ctrl] = lanes.draw_noise(&mut self.rng);
+            noise_dir[k] = dir;
+            noise_temp[k] = temp;
+            noise_ctrl[k] = ctrl;
         }
-        self.die.deposit_scale(self.frame_dt());
+        self.die.deposit_scale(frame_dt);
 
+        let [codes_dir, codes_temp, codes_ctrl] = &mut self.frame.codes;
+        lanes.sample_block(
+            [diff_dir, diff_temp, diff_ctrl],
+            [noise_dir, noise_temp, noise_ctrl],
+            self.frame.bits.lanes_mut(),
+            overtemp,
+            [codes_dir, codes_temp, codes_ctrl],
+        );
+        // Hands the banked noise state back to the channels.
+        drop(lanes);
         // Frame-aligned channels emit exactly one code per block.
-        let dir_code = self.sample_lane(DIR_CHANNEL, overtemp);
-        self.last_dir_code = dir_code;
-        let temp_code = self.sample_lane(TEMP_CHANNEL, overtemp);
-        self.last_temp_code = temp_code;
-        let code = self.sample_lane(CTRL_CHANNEL, overtemp);
+        self.last_dir_code = frame_code(codes_dir);
+        self.last_temp_code = frame_code(codes_temp);
+        let code = frame_code(codes_ctrl);
         let code = match self.adc_fault {
             Some(fault) => fault.apply(code),
             None => code,
         };
         self.control_step(code, supply)
-    }
-
-    /// Runs one channel's block kernel over its scratch lane and returns the
-    /// single decimated code a frame-aligned block produces.
-    fn sample_lane(&mut self, lane: usize, overtemp: f64) -> i32 {
-        self.frame.codes.clear();
-        let chan = self
-            .platform
-            .channel_mut(lane)
-            .expect("configured in new()");
-        chan.sample_block(
-            self.frame.diffs.lane(lane),
-            self.frame.noises.lane(lane),
-            &mut self.frame.bits,
-            overtemp,
-            &mut self.frame.codes,
-        );
-        debug_assert_eq!(self.frame.codes.len(), 1, "frame-aligned block");
-        self.frame.codes[0]
     }
 
     /// The fast-tier frame: one bridge solve pair, one coarse die step
@@ -688,29 +675,11 @@ impl FlowMeter {
         let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
         let overtemp = env.fluid_temperature.get() - 25.0;
 
-        let dir_code = {
-            let chan = self
-                .platform
-                .channel_mut(DIR_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(dir_diff, overtemp, &mut self.rng)
-        };
-        self.last_dir_code = dir_code;
-        let temp_code = {
-            let chan = self
-                .platform
-                .channel_mut(TEMP_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(temp_diff, overtemp, &mut self.rng)
-        };
-        self.last_temp_code = temp_code;
-        let code = {
-            let chan = self
-                .platform
-                .channel_mut(CTRL_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(ctrl_diff, overtemp, &mut self.rng)
-        };
+        let [dir, temp, ctrl] = lanes(&mut self.platform);
+        let rng = &mut self.rng;
+        self.last_dir_code = dir.dc_code(dir_diff, overtemp, rng);
+        self.last_temp_code = temp.dc_code(temp_diff, overtemp, rng);
+        let code = ctrl.dc_code(ctrl_diff, overtemp, rng);
         let code = match self.adc_fault {
             Some(fault) => fault.apply(code),
             None => code,
@@ -1061,11 +1030,11 @@ impl FlowMeter {
         }
     }
 
-    /// Installs `cal` as the active calibration and derives its
-    /// compensation reference law.
-    fn install_calibration(&mut self, cal: KingCalibration) {
+    /// Installs `cal` as the active calibration, derives its compensation
+    /// reference law, and returns the installed calibration.
+    fn install_calibration(&mut self, cal: KingCalibration) -> &KingCalibration {
         self.calibration_reference = cal.film_law(self.config.calibration_temperature);
-        self.calibration = Some(cal);
+        self.calibration.insert(cal)
     }
 
     /// Total electrical power currently drawn from the supply by the two
@@ -1120,13 +1089,12 @@ impl FlowMeter {
             self.fluid_temp_estimate - self.config.calibration_temperature.get();
         let cal = KingCalibration::fit(points, self.config.overheat)?;
         cal.store(self.platform.eeprom_mut())?;
-        self.install_calibration(cal);
         self.cal_tick = self.control_tick;
         // The calibration procedure slews the line hard between setpoints;
         // whatever the monitors latched during it is procedure noise, not a
         // field diagnosis.
         self.clear_faults();
-        Ok(self.calibration.as_ref().expect("just installed"))
+        Ok(self.install_calibration(cal))
     }
 
     /// Reloads the calibration from EEPROM (power-cycle recovery).
@@ -1486,6 +1454,143 @@ mod tests {
             scalar.die().reference_resistance().get().to_bits(),
             framed.die().reference_resistance().get().to_bits()
         );
+    }
+
+    /// Drives two replicas of one meter through `frames` control frames —
+    /// one by `step_frame`, one by `decimation` scalar steps per frame —
+    /// calling `before(frame, meter)` on each ahead of every frame for that
+    /// frame's environment (and any injection between frames). Asserts every
+    /// frame's measurement and the end states agree to the bit, and returns
+    /// the framed meter with the number of King's-law re-derivations the
+    /// scalar meter made after a frame's first tick.
+    fn assert_frames_match_steps(
+        config: FlowMeterConfig,
+        params: MafParams,
+        frames: u32,
+        mut before: impl FnMut(u32, &mut FlowMeter) -> SensorEnvironment,
+    ) -> (FlowMeter, u32) {
+        let mut scalar = FlowMeter::new(config, params, 41).unwrap();
+        let mut framed = FlowMeter::new(config, params, 41).unwrap();
+        let mut mid_frame_rederivations = 0;
+        for frame in 0..frames {
+            let e = before(frame, &mut scalar);
+            assert_eq!(before(frame, &mut framed), e);
+            let mut last = None;
+            for tick in 0..config.decimation {
+                let law = *scalar.die().kings_law();
+                if let Some(m) = scalar.step(e) {
+                    last = Some(m);
+                }
+                if tick > 0 && *scalar.die().kings_law() != law {
+                    mid_frame_rederivations += 1;
+                }
+            }
+            assert_eq!(last, Some(framed.step_frame(e)), "frame {frame}");
+        }
+        assert_eq!(scalar.state_digest(), framed.state_digest());
+        (framed, mid_frame_rederivations)
+    }
+
+    /// Both exact-tier profiles, each with the control frames making up
+    /// `seconds` of simulated time.
+    fn profiles(seconds: f64) -> [(FlowMeterConfig, u32); 2] {
+        [
+            FlowMeterConfig::test_profile(),
+            FlowMeterConfig::water_station(),
+        ]
+        .map(|c| (c, (seconds * c.control_rate().get()) as u32))
+    }
+
+    #[test]
+    fn frame_matches_steps_in_reverse_flow() {
+        // Negative velocity takes the coupling's other branch: heater B
+        // pre-heats the fluid heater A sees.
+        for (config, frames) in profiles(0.4) {
+            let (m, _) =
+                assert_frames_match_steps(config, MafParams::nominal(), frames, |_, _| env(-90.0));
+            let (a, b) = (
+                m.die().heater_temperature(HeaterId::A),
+                m.die().heater_temperature(HeaterId::B),
+            );
+            assert!(a > b, "reverse flow heats A: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn frame_matches_steps_above_bubble_onset() {
+        // 29 °C water puts the 15 K-overheated wall above the 40 °C
+        // outgassing onset: coverage grows, and every covered face draws
+        // its detachment uniform inside the die tick, between the ticks'
+        // noise draws.
+        let warm = SensorEnvironment {
+            fluid_temperature: Celsius::new(29.0),
+            ..env(60.0)
+        };
+        for (config, frames) in profiles(0.5) {
+            let (m, _) =
+                assert_frames_match_steps(config, MafParams::nominal(), frames, |_, _| warm);
+            assert!(m.die().bubble_coverage(HeaterId::A) > 0.0, "bubbles grew");
+        }
+    }
+
+    #[test]
+    fn frame_matches_steps_across_kings_law_rederivation() {
+        // A fluid-temperature step moves the film temperature by more than
+        // the 0.5 K re-derivation band, and the heaters' settling after it
+        // keeps crossing the band on ticks inside the frame.
+        for (config, frames) in profiles(0.4) {
+            let (_, mid_frame) =
+                assert_frames_match_steps(config, MafParams::nominal(), frames, |frame, _| {
+                    let t = if frame < frames / 2 { 15.0 } else { 24.0 };
+                    SensorEnvironment {
+                        fluid_temperature: Celsius::new(t),
+                        ..env(80.0)
+                    }
+                });
+            assert!(mid_frame > 0, "a re-derivation must land inside a frame");
+        }
+    }
+
+    #[test]
+    fn frame_matches_steps_across_surface_injections() {
+        // Scale and bubble bursts land between frames; each frame's
+        // constants must pick them up.
+        let params = MafParams {
+            passivation: hotwire_physics::fouling::Passivation::Bare,
+            ..MafParams::nominal()
+        };
+        for (config, frames) in profiles(0.4) {
+            let (m, _) = assert_frames_match_steps(config, params, frames, |frame, meter| {
+                if frame == frames / 3 {
+                    meter.die_mut().deposit_fouling(0.5);
+                }
+                if frame == 2 * frames / 3 {
+                    meter.die_mut().inject_bubble_burst(0.4);
+                }
+                env(110.0)
+            });
+            assert!(m.die().fouling_thickness_um(HeaterId::A) > 0.5);
+        }
+    }
+
+    #[test]
+    fn frame_matches_steps_across_environment_changes() {
+        // Velocity (through zero), pressure and fluid temperature change
+        // between frames; every frame-invariant quantity is re-derived.
+        for (config, frames) in profiles(0.5) {
+            assert_frames_match_steps(config, MafParams::nominal(), frames, |frame, _| {
+                let phase = 8 * frame / frames;
+                SensorEnvironment {
+                    velocity: MetersPerSecond::from_cm_per_s(
+                        [40.0, 150.0, -30.0, 0.0, 220.0, -120.0, 75.0, 10.0][phase as usize],
+                    ),
+                    fluid_temperature: Celsius::new(15.0 + 1.5 * phase as f64),
+                    pressure: hotwire_units::Pascals::from_bar(
+                        [1.0, 2.0, 0.8, 1.5][phase as usize % 4],
+                    ),
+                }
+            });
+        }
     }
 
     #[test]

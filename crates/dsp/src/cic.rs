@@ -30,7 +30,7 @@ pub const MAX_ORDER: usize = 6;
 /// assert!(last.unwrap().abs() <= cic.gain() / 8);
 /// # Ok::<(), hotwire_dsp::DspError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CicDecimator {
     order: usize,
     ratio: u32,
@@ -92,61 +92,53 @@ impl CicDecimator {
 
     /// Pushes one high-rate sample; returns a decimated output every `R`
     /// samples.
+    #[inline]
     pub fn push(&mut self, x: i32) -> Option<i64> {
-        let mut acc = x as i64;
-        for stage in self.integrators.iter_mut().take(self.order) {
-            *stage = stage.wrapping_add(acc);
-            acc = *stage;
-        }
+        let acc = integrate(&mut self.integrators[..self.order], x);
         self.phase += 1;
         if self.phase < self.ratio {
             return None;
         }
         self.phase = 0;
-        let mut y = acc;
-        for stage in self.combs.iter_mut().take(self.order) {
-            let prev = *stage;
-            *stage = y;
-            y = y.wrapping_sub(prev);
-        }
-        Some(y)
+        Some(comb(&mut self.combs[..self.order], acc))
     }
 
     /// Pushes a block of high-rate samples, appending every decimated output
     /// produced along the way to `out`. Bit-identical to calling
-    /// [`push`](Self::push) per element — the integrator/comb arrays and the
-    /// phase counter are hoisted into locals so the inner walk stays in
-    /// registers instead of bouncing through `&mut self` per tick.
+    /// [`push`](Self::push) per element: the walk runs the same integrator
+    /// and comb stages on local copies sized to the filter's order, so they
+    /// stay in registers for the block.
     ///
     /// Feeding exactly `ratio()` samples from a frame-aligned phase (phase
     /// 0) yields exactly one output.
     pub fn push_block(&mut self, xs: &[i32], out: &mut Vec<i64>) {
-        let order = self.order;
-        let ratio = self.ratio;
-        let mut integrators = self.integrators;
-        let mut combs = self.combs;
+        match self.order {
+            1 => self.walk::<1>(xs, out),
+            2 => self.walk::<2>(xs, out),
+            3 => self.walk::<3>(xs, out),
+            4 => self.walk::<4>(xs, out),
+            5 => self.walk::<5>(xs, out),
+            // `new` bounds the order to 1..=MAX_ORDER.
+            _ => self.walk::<MAX_ORDER>(xs, out),
+        }
+    }
+
+    /// [`push_block`](Self::push_block) at a compile-time order.
+    fn walk<const ORDER: usize>(&mut self, xs: &[i32], out: &mut Vec<i64>) {
+        let mut integrators: [i64; ORDER] = core::array::from_fn(|s| self.integrators[s]);
+        let mut combs: [i64; ORDER] = core::array::from_fn(|s| self.combs[s]);
         let mut phase = self.phase;
         for &x in xs {
-            let mut acc = x as i64;
-            for stage in integrators.iter_mut().take(order) {
-                *stage = stage.wrapping_add(acc);
-                acc = *stage;
-            }
+            let acc = integrate(&mut integrators, x);
             phase += 1;
-            if phase < ratio {
+            if phase < self.ratio {
                 continue;
             }
             phase = 0;
-            let mut y = acc;
-            for stage in combs.iter_mut().take(order) {
-                let prev = *stage;
-                *stage = y;
-                y = y.wrapping_sub(prev);
-            }
-            out.push(y);
+            out.push(comb(&mut combs, acc));
         }
-        self.integrators = integrators;
-        self.combs = combs;
+        self.integrators[..ORDER].copy_from_slice(&integrators);
+        self.combs[..ORDER].copy_from_slice(&combs);
         self.phase = phase;
     }
 
@@ -164,6 +156,30 @@ impl CicDecimator {
         self.combs = [0; MAX_ORDER];
         self.phase = 0;
     }
+}
+
+/// Runs one sample through the integrator cascade; returns the last
+/// stage's value.
+#[inline(always)]
+fn integrate(stages: &mut [i64], x: i32) -> i64 {
+    let mut acc = x as i64;
+    for stage in stages {
+        *stage = stage.wrapping_add(acc);
+        acc = *stage;
+    }
+    acc
+}
+
+/// Runs one decimated sample through the comb cascade.
+#[inline(always)]
+fn comb(stages: &mut [i64], y: i64) -> i64 {
+    let mut y = y;
+    for stage in stages {
+        let prev = *stage;
+        *stage = y;
+        y = y.wrapping_sub(prev);
+    }
+    y
 }
 
 #[cfg(test)]
@@ -276,7 +292,7 @@ mod tests {
                 split in 0usize..600
             ) {
                 let mut scalar = CicDecimator::new(order, ratio).unwrap();
-                let mut block = scalar.clone();
+                let mut block = scalar;
                 let expected: Vec<i64> =
                     xs.iter().filter_map(|&x| scalar.push(x)).collect();
                 // An arbitrary mid-block split: integrator/comb state and

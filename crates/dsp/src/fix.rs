@@ -174,11 +174,9 @@ pub fn saturate_bits(x: i64, bits: u32) -> i64 {
 ///
 /// The modulator-rate hot path stages one decimation frame of per-channel
 /// signals (analog differentials, pre-drawn noise, modulator bits) in one of
-/// these instead of interleaved per-tick structs: each lane is a contiguous
-/// slice the block kernels (the ΣΔ modulator's `step_block`,
-/// [`CicDecimator::push_block`](crate::cic::CicDecimator::push_block), the
-/// in-amp/anti-alias block walks) can stream over, which is what lets the
-/// compiler keep filter state in registers and vectorize the arithmetic.
+/// these: each lane is a contiguous slice, and
+/// [`lanes_mut`](Self::lanes_mut) hands all of them out at once to a
+/// kernel that walks the channels' chains together.
 #[derive(Debug, Clone)]
 pub struct SoaBlock<T> {
     data: Vec<T>,
@@ -224,45 +222,18 @@ impl<T: Copy + Default> SoaBlock<T> {
         self.data[..self.lanes * self.depth].fill(value);
     }
 
-    /// One lane as a contiguous slice.
+    /// Every lane at once, as `N` disjoint mutable slices.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= lanes()`.
-    #[inline]
-    pub fn lane(&self, lane: usize) -> &[T] {
-        assert!(lane < self.lanes);
-        &self.data[lane * self.depth..(lane + 1) * self.depth]
-    }
-
-    /// One lane as a mutable contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= lanes()`.
-    #[inline]
-    pub fn lane_mut(&mut self, lane: usize) -> &mut [T] {
-        assert!(lane < self.lanes);
-        &mut self.data[lane * self.depth..(lane + 1) * self.depth]
-    }
-
-    /// Two distinct lanes at once, the first mutable — the shape the
-    /// "transform lane A in place, reading lane B" kernels need (e.g.
-    /// amplify a differential lane consuming a pre-drawn noise lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes are equal or out of range.
-    pub fn lane_mut_and_ref(&mut self, a: usize, b: usize) -> (&mut [T], &[T]) {
-        assert!(a != b && a < self.lanes && b < self.lanes);
+    /// Panics if `N != lanes()`.
+    pub fn lanes_mut<const N: usize>(&mut self) -> [&mut [T]; N] {
+        assert_eq!(N, self.lanes, "lane count");
         let depth = self.depth;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * depth);
-            (&mut lo[a * depth..(a + 1) * depth], &hi[..depth])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * depth);
-            (&mut hi[..depth], &lo[b * depth..(b + 1) * depth])
-        }
+        // `chunks_mut` rejects a zero chunk size; a zero-depth block has
+        // no elements to hand out, and every lane is the empty default.
+        let mut chunks = self.data[..N * depth].chunks_mut(depth.max(1));
+        core::array::from_fn(|_| chunks.next().unwrap_or_default())
     }
 }
 
@@ -385,6 +356,19 @@ mod tests {
         assert_eq!(saturate_bits(1 << 40, 24), (1 << 23) - 1);
         assert_eq!(saturate_bits(-(1 << 40), 24), -(1 << 23));
         assert_eq!(saturate_bits(1000, 24), 1000);
+    }
+
+    #[test]
+    fn soa_lanes_are_disjoint_and_ordered() {
+        let mut block = SoaBlock::<i32>::new(3, 4);
+        for (j, lane) in block.lanes_mut::<3>().into_iter().enumerate() {
+            lane.fill(j as i32 + 1);
+        }
+        let [a, b, c] = block.lanes_mut::<3>();
+        assert_eq!((&*a, &*b, &*c), (&[1; 4][..], &[2; 4][..], &[3; 4][..]));
+        block.reshape(2, 0);
+        let [x, y] = block.lanes_mut::<2>();
+        assert!(x.is_empty() && y.is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::IsifError;
 use hotwire_afe::adc::SigmaDeltaModulator;
 use hotwire_afe::filter::AntiAliasFilter;
-use hotwire_afe::inamp::{InAmpConfig, InstrumentationAmp};
+use hotwire_afe::inamp::{AmpNoise, AmpPole, InAmpConfig, InstrumentationAmp};
 use hotwire_dsp::cic::CicDecimator;
 use hotwire_units::{Amps, Hertz, Volts};
 use rand::Rng;
@@ -101,6 +101,12 @@ pub struct InputChannel {
     cic_scratch: Vec<i64>,
 }
 
+/// A raw CIC output as a signed 16-bit word.
+#[inline]
+fn word(raw: i64, norm_shift: u32) -> i32 {
+    ((raw >> norm_shift) as i32).clamp(-32768, 32767)
+}
+
 impl InputChannel {
     /// Builds a channel stepped at `modulator_rate`.
     ///
@@ -174,15 +180,15 @@ impl InputChannel {
         let amplified = self.inamp.amplify(v_diff, chip_overtemp_k, rng);
         let filtered = self.antialias.push(amplified);
         let bit = self.modulator.push(filtered);
-        self.cic
-            .push(bit)
-            .map(|raw| ((raw >> self.norm_shift) as i32).clamp(-32768, 32767))
+        let shift = self.norm_shift;
+        self.cic.push(bit).map(|raw| word(raw, shift))
     }
 
     /// Draws the per-tick input-referred noise sample for this channel —
     /// exactly the RNG draws [`sample`](Self::sample) makes internally
     /// (white then flicker), split out so a frame caller can pre-draw noise
     /// lanes in the scalar draw order before running the block kernels.
+    /// The one-lane case of [`ChannelLanes::draw_noise`].
     pub fn draw_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         self.inamp.draw_noise(rng)
     }
@@ -192,13 +198,11 @@ impl InputChannel {
     /// decimated 16-bit word produced to `out`.
     ///
     /// `diffs` holds the differential inputs in volts; `noises` holds one
-    /// pre-drawn [`draw_noise`](Self::draw_noise) value per tick; `bits` is
-    /// scratch for the modulator bitstream. The three analog stages run as
-    /// one fused register-hoisted pass
-    /// ([`hotwire_afe::chain::amplify_filter_modulate_block`]), then the
-    /// CIC walks the bitstream. Bit-identical to the equivalent sequence
-    /// of scalar `sample(AnalogInput::Differential(..))` calls whose noise
-    /// was drawn in the same RNG order.
+    /// pre-drawn [`draw_noise`](Self::draw_noise) value per tick; `bits`
+    /// receives the modulator bitstream. The one-lane case of
+    /// [`ChannelLanes::sample_block`]: bit-identical to the equivalent
+    /// sequence of scalar `sample(AnalogInput::Differential(..))` calls
+    /// whose noise was drawn in the same RNG order.
     ///
     /// # Panics
     ///
@@ -212,27 +216,7 @@ impl InputChannel {
         chip_overtemp_k: f64,
         out: &mut Vec<i32>,
     ) {
-        assert!(
-            matches!(self.config.mode, ReadoutMode::Instrumentation),
-            "sample_block supports instrumentation mode only"
-        );
-        hotwire_afe::chain::amplify_filter_modulate_block(
-            &mut self.inamp,
-            &mut self.antialias,
-            &mut self.modulator,
-            diffs,
-            noises,
-            chip_overtemp_k,
-            bits,
-        );
-        self.cic_scratch.clear();
-        self.cic.push_block(bits, &mut self.cic_scratch);
-        let shift = self.norm_shift;
-        out.extend(
-            self.cic_scratch
-                .iter()
-                .map(|&raw| ((raw >> shift) as i32).clamp(-32768, 32767)),
-        );
+        ChannelLanes::new([self]).sample_block([diffs], [noises], [bits], chip_overtemp_k, [out]);
     }
 
     /// The signed 16-bit word the full chain settles to for a quasi-static
@@ -277,6 +261,112 @@ impl InputChannel {
         self.modulator.reset();
         self.cic.reset();
         self.charge_state = 0.0;
+    }
+}
+
+/// `N` input channels walked in lockstep as lanes: the frame-rate shape of
+/// a multi-channel readout, where every channel converts one sample per
+/// modulator tick.
+///
+/// Creating the lanes banks the channels' noise sources in lane arrays;
+/// [`draw_noise`](Self::draw_noise) then draws one tick's noise for every
+/// lane in a single call, and [`sample_block`](Self::sample_block) runs one
+/// block per lane through the chains together. The banked noise state goes
+/// back to the channels when the lanes are dropped. A single channel's
+/// [`InputChannel::draw_noise`] and [`InputChannel::sample_block`] are the
+/// one-lane case.
+#[derive(Debug)]
+pub struct ChannelLanes<'a, const N: usize> {
+    channels: [&'a mut InputChannel; N],
+    noise: AmpNoise<N>,
+}
+
+impl<'a, const N: usize> ChannelLanes<'a, N> {
+    /// Takes `channels` as lanes, in array order.
+    pub fn new(channels: [&'a mut InputChannel; N]) -> Self {
+        let noise = AmpNoise::<N>::from_lanes(core::array::from_fn(|j| channels[j].inamp.noise()));
+        ChannelLanes { channels, noise }
+    }
+
+    /// Draws one tick's input-referred noise sample per lane. The RNG is
+    /// read lane by lane — white sample, then flicker drive — exactly as
+    /// `N` consecutive [`InputChannel::draw_noise`] calls read it; the
+    /// flicker poles advance lane-wise.
+    #[inline]
+    pub fn draw_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) -> [f64; N] {
+        self.noise.draw_lanes(rng)
+    }
+
+    /// Pushes one block per lane through the full chains: lane `j` reads
+    /// `diffs[j]` (differential volts) and `noises[j]` (one pre-drawn noise
+    /// sample per tick), writes its modulator bitstream to `bits[j]` and
+    /// appends its decimated 16-bit words to `out[j]`.
+    ///
+    /// One walk steps every lane's in-amp → anti-alias → ΣΔ per tick, with
+    /// the stage states banked in lane arrays so the lanes' serial
+    /// recurrences overlap; then each lane's CIC decimates its bitstream.
+    /// The lanes' chains share nothing, so each lane's result is
+    /// bit-identical to running it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is not in instrumentation mode or the slice
+    /// lengths disagree.
+    pub fn sample_block(
+        &mut self,
+        diffs: [&[f64]; N],
+        noises: [&[f64]; N],
+        mut bits: [&mut [i32]; N],
+        chip_overtemp_k: f64,
+        out: [&mut Vec<i32>; N],
+    ) {
+        let len = diffs.first().map_or(0, |d| d.len());
+        for (j, channel) in self.channels.iter().enumerate() {
+            assert!(
+                matches!(channel.config.mode, ReadoutMode::Instrumentation),
+                "block sampling supports instrumentation mode only"
+            );
+            assert!(
+                diffs[j].len() == len && noises[j].len() == len && bits[j].len() == len,
+                "lane {j}: block lengths disagree"
+            );
+        }
+        let channels = &self.channels;
+        let mut poles = AmpPole::<N>::from_lanes(core::array::from_fn(|j| {
+            channels[j].inamp.pole(chip_overtemp_k)
+        }));
+        let mut filters =
+            AntiAliasFilter::<N>::from_lanes(core::array::from_fn(|j| channels[j].antialias));
+        let mut modulators =
+            SigmaDeltaModulator::<N>::from_lanes(core::array::from_fn(|j| channels[j].modulator));
+        for k in 0..len {
+            let amplified = poles.step_lanes(
+                core::array::from_fn(|j| diffs[j][k]),
+                core::array::from_fn(|j| noises[j][k]),
+            );
+            let tick_bits = modulators.push_lanes(filters.push_lanes(amplified));
+            for (lane, bit) in bits.iter_mut().zip(tick_bits) {
+                lane[k] = bit;
+            }
+        }
+        let lanes = self.channels.iter_mut().zip(bits).zip(out);
+        for (j, ((channel, bits), out)) in lanes.enumerate() {
+            channel.inamp.set_pole(poles.lane(j));
+            channel.antialias = filters.lane(j);
+            channel.modulator = modulators.lane(j);
+            channel.cic_scratch.clear();
+            channel.cic.push_block(bits, &mut channel.cic_scratch);
+            let shift = channel.norm_shift;
+            out.extend(channel.cic_scratch.iter().map(|&raw| word(raw, shift)));
+        }
+    }
+}
+
+impl<const N: usize> Drop for ChannelLanes<'_, N> {
+    fn drop(&mut self) {
+        for (j, channel) in self.channels.iter_mut().enumerate() {
+            channel.inamp.set_noise(self.noise.lane(j));
+        }
     }
 }
 
@@ -471,5 +561,141 @@ mod tests {
         chan.reset();
         let out = run_dc(&mut chan, 0.0, 20);
         assert!(out[15].abs() < 4, "stale state after reset: {}", out[15]);
+    }
+
+    mod lanes {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+
+        /// Three channels of deliberately different configurations: gains,
+        /// offsets, anti-alias corners, references, CIC orders and ratios.
+        fn channels() -> [InputChannel; 3] {
+            let fs = Hertz::from_kilohertz(32.0);
+            let base = ChannelConfig {
+                decimation: 64,
+                antialias_corner: Hertz::from_kilohertz(4.0),
+                ..ChannelConfig::maf_bridge()
+            };
+            let configs = [
+                base,
+                ChannelConfig {
+                    inamp: InAmpConfig {
+                        gain: 20.0,
+                        input_offset: Volts::from_millivolts(-0.5),
+                        ..base.inamp
+                    },
+                    antialias_corner: Hertz::from_kilohertz(2.0),
+                    ..base
+                },
+                ChannelConfig {
+                    vref: Volts::new(1.5),
+                    cic_order: 2,
+                    decimation: 32,
+                    ..base
+                },
+            ];
+            configs.map(|c| InputChannel::new(c, fs).unwrap())
+        }
+
+        proptest! {
+            /// The three-lane walk equals three one-lane walks bit for bit:
+            /// noise draws, bitstreams, decimated words and the state each
+            /// channel carries out of the block. Inputs swing to ±0.2 V,
+            /// far past the in-amp rails (±2.5 V after gains of 20–50) and
+            /// the modulator's ±0.9 full-scale clamp; a scalar lead-in
+            /// de-aligns the CIC phases from the block.
+            #[test]
+            fn three_lanes_match_three_single_lanes(
+                inputs in proptest::collection::vec(
+                    (-0.2f64..0.2, -0.2f64..0.2, -0.2f64..0.2),
+                    1..300,
+                ),
+                lead in 0usize..70,
+                seed in 0u64..1000,
+                overtemp in -15.0f64..15.0,
+            ) {
+                let mut lanes = channels();
+                let mut singles = channels();
+                let mut r_lanes = StdRng::seed_from_u64(seed);
+                let mut r_singles = StdRng::seed_from_u64(seed);
+                let lead_in = AnalogInput::Differential(Volts::from_millivolts(3.0));
+                for _ in 0..lead {
+                    for ch in &mut lanes {
+                        ch.sample(lead_in, overtemp, &mut r_lanes);
+                    }
+                    for ch in &mut singles {
+                        ch.sample(lead_in, overtemp, &mut r_singles);
+                    }
+                }
+                let n = inputs.len();
+                let diffs: [Vec<f64>; 3] = [
+                    inputs.iter().map(|d| d.0).collect(),
+                    inputs.iter().map(|d| d.1).collect(),
+                    inputs.iter().map(|d| d.2).collect(),
+                ];
+
+                let mut noise_lanes: [Vec<f64>; 3] = Default::default();
+                let mut bits_lanes = [vec![0; n], vec![0; n], vec![0; n]];
+                let mut out_lanes: [Vec<i32>; 3] = Default::default();
+                {
+                    let [a, b, c] = &mut lanes;
+                    let mut walk = ChannelLanes::new([a, b, c]);
+                    for _ in 0..n {
+                        let tick = walk.draw_noise(&mut r_lanes);
+                        for (lane, x) in noise_lanes.iter_mut().zip(tick) {
+                            lane.push(x);
+                        }
+                    }
+                    let [b0, b1, b2] = &mut bits_lanes;
+                    let [o0, o1, o2] = &mut out_lanes;
+                    walk.sample_block(
+                        [&diffs[0], &diffs[1], &diffs[2]],
+                        [&noise_lanes[0], &noise_lanes[1], &noise_lanes[2]],
+                        [b0, b1, b2],
+                        overtemp,
+                        [o0, o1, o2],
+                    );
+                }
+
+                let mut noise_singles: [Vec<f64>; 3] = Default::default();
+                for _ in 0..n {
+                    for (ch, lane) in singles.iter_mut().zip(&mut noise_singles) {
+                        lane.push(ch.draw_noise(&mut r_singles));
+                    }
+                }
+                for j in 0..3 {
+                    let bits_single = {
+                        let mut bits = vec![0; n];
+                        let mut out = Vec::new();
+                        singles[j].sample_block(
+                            &diffs[j],
+                            &noise_singles[j],
+                            &mut bits,
+                            overtemp,
+                            &mut out,
+                        );
+                        prop_assert_eq!(&out_lanes[j], &out, "lane {} words", j);
+                        bits
+                    };
+                    let same_noise = noise_lanes[j]
+                        .iter()
+                        .zip(&noise_singles[j])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    prop_assert!(same_noise, "lane {} noise", j);
+                    prop_assert_eq!(&bits_lanes[j], &bits_single, "lane {} bits", j);
+                }
+                // The state each channel carries out — poles, integrators,
+                // CIC phase, flicker generator — must agree too.
+                for k in 0..200 {
+                    let input = AnalogInput::Differential(Volts::new(0.01 * (k as f64).sin()));
+                    for (a, b) in lanes.iter_mut().zip(&mut singles) {
+                        let x = a.sample(input, overtemp, &mut r_lanes);
+                        let y = b.sample(input, overtemp, &mut r_singles);
+                        prop_assert_eq!(x, y, "follow-up sample {}", k);
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,6 +13,11 @@ pub enum IsifError {
         /// The offending index.
         index: usize,
     },
+    /// The same channel was requested twice in one simultaneous borrow.
+    ChannelAliased {
+        /// The repeated index.
+        index: usize,
+    },
     /// EEPROM record failed its CRC check.
     CorruptRecord {
         /// Record slot index.
@@ -50,6 +55,9 @@ impl core::fmt::Display for IsifError {
             }
             IsifError::NoSuchChannel { index } => {
                 write!(f, "no such input channel: {index} (platform has 4)")
+            }
+            IsifError::ChannelAliased { index } => {
+                write!(f, "input channel {index} requested twice in one borrow")
             }
             IsifError::CorruptRecord { slot } => {
                 write!(f, "eeprom record in slot {slot} failed crc check")

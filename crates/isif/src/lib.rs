@@ -39,7 +39,7 @@ pub mod sched;
 pub mod timer;
 pub mod uart;
 
-pub use channel::{ChannelConfig, InputChannel, ReadoutMode};
+pub use channel::{ChannelConfig, ChannelLanes, InputChannel, ReadoutMode};
 pub use eeprom::CalibrationStore;
 pub use error::IsifError;
 pub use platform::IsifPlatform;

@@ -98,6 +98,36 @@ impl IsifPlatform {
             .ok_or(IsifError::NoSuchChannel { index })
     }
 
+    /// Borrows `N` distinct configured channels at once, in the order of
+    /// `indices` — how a caller walks several channels in lockstep without
+    /// looking each one up per sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsifError::NoSuchChannel`] if an index is out of range or
+    /// unconfigured, and [`IsifError::ChannelAliased`] if an index appears
+    /// twice.
+    #[inline]
+    pub fn channels_mut<const N: usize>(
+        &mut self,
+        indices: [usize; N],
+    ) -> Result<[&mut InputChannel; N], IsifError> {
+        for (k, &index) in indices.iter().enumerate() {
+            if !matches!(self.channels.get(index), Some(Some(_))) {
+                return Err(IsifError::NoSuchChannel { index });
+            }
+            if indices[..k].contains(&index) {
+                return Err(IsifError::ChannelAliased { index });
+            }
+        }
+        let [a, b, c, d] = &mut self.channels;
+        let mut slots = [a.as_mut(), b.as_mut(), c.as_mut(), d.as_mut()];
+        Ok(core::array::from_fn(|k| match slots[indices[k]].take() {
+            Some(channel) => channel,
+            None => unreachable!("indices were checked configured and distinct"),
+        }))
+    }
+
     /// Number of configured channels.
     pub fn configured_channels(&self) -> usize {
         self.channels.iter().filter(|c| c.is_some()).count()
@@ -200,6 +230,32 @@ mod tests {
             p.configure_channel(7, ChannelConfig::maf_bridge()),
             Err(IsifError::NoSuchChannel { index: 7 })
         ));
+    }
+
+    #[test]
+    fn channels_borrow_together_in_index_order() {
+        let mut p = platform();
+        p.configure_channel(0, ChannelConfig::maf_bridge()).unwrap();
+        let narrow = ChannelConfig {
+            decimation: 64,
+            ..ChannelConfig::maf_bridge()
+        };
+        p.configure_channel(2, narrow).unwrap();
+        let [c2, c0] = p.channels_mut([2, 0]).unwrap();
+        assert_eq!(c2.decimation(), 64);
+        assert_eq!(c0.decimation(), 256);
+        assert_eq!(
+            p.channels_mut([0, 1]).err(),
+            Some(IsifError::NoSuchChannel { index: 1 })
+        );
+        assert_eq!(
+            p.channels_mut([0, 9]).err(),
+            Some(IsifError::NoSuchChannel { index: 9 })
+        );
+        assert_eq!(
+            p.channels_mut([2, 0, 2]).err(),
+            Some(IsifError::ChannelAliased { index: 2 })
+        );
     }
 
     #[test]

@@ -237,6 +237,7 @@ impl MembraneState {
     /// (per-control-tick constant) King evaluation and each node keeps its
     /// own cache.
     #[allow(clippy::too_many_arguments)] // mirrors the physical heat-balance terms
+    #[inline]
     pub fn step_cached(
         &mut self,
         dt: Seconds,

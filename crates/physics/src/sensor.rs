@@ -12,14 +12,18 @@
 //! power to each heater and reads back resistances; everything thermal stays
 //! in here.
 //!
-//! Two rates: [`MafDie::step`] runs every modulator tick — membrane heat
-//! balance, bubbles and the reference lag — while CaCO₃ scale, which builds
-//! over months, deposits once per control frame through
-//! [`MafDie::deposit_scale`]. Within a frame the per-tick step is therefore
-//! transcendental-free: the King's-law conductance and advective coupling
-//! memoize on the velocity, and each node's convection chain (`G_conv`,
-//! `G_tot`, decay) on its bit-exact inputs ([`DecayCache`]), leaving one
-//! division per node for the equilibrium temperature.
+//! Two rates: the die ticks every modulator tick — membrane heat balance,
+//! bubbles and the reference lag — while CaCO₃ scale, which builds over
+//! months, deposits once per control frame through
+//! [`MafDie::deposit_scale`]. A frame of ticks splits accordingly:
+//! [`MafDie::begin_frame`] evaluates once what the frame holds constant
+//! (King's-law conductance and advective coupling at the frame's velocity,
+//! bubble onset at its pressure, the reference-lag factor, each face's
+//! scale resistance), and [`MafDie::tick`] evaluates only what moves. The
+//! tick is transcendental-free between King's-law re-derivations: each
+//! node's convection chain (`G_conv`, `G_tot`, decay) memoizes on its
+//! bit-exact inputs ([`DecayCache`]), leaving one division per node for the
+//! equilibrium temperature. [`MafDie::step`] is a one-tick frame.
 
 use crate::bubbles::{BubbleLayer, BubbleParams};
 use crate::fluid::{Air, Fluid, FluidProperties, Water};
@@ -28,7 +32,9 @@ use crate::kings_law::{KingsLaw, WireGeometry};
 use crate::membrane::{DecayCache, MembraneParams, MembraneState, SurfaceCondition};
 use crate::resistor::Rtd;
 use crate::PhysicsError;
-use hotwire_units::{Celsius, MetersPerSecond, Ohms, Pascals, Seconds, ThermalConductance, Watts};
+use hotwire_units::{
+    Celsius, MetersPerSecond, Ohms, Pascals, Seconds, ThermalConductance, ThermalResistance, Watts,
+};
 use rand::Rng;
 
 /// The working medium surrounding the die.
@@ -234,13 +240,29 @@ impl HeaterChannel {
             decay_cache: DecayCache::empty(),
         }
     }
+}
 
-    fn surface(&self) -> SurfaceCondition {
-        SurfaceCondition {
-            bubble_coverage: self.bubbles.coverage(),
-            fouling_resistance: self.fouling.thermal_resistance(),
-        }
-    }
+/// What stays constant over one frame of die ticks: the step, the
+/// environment, and everything derived from them and from the surfaces
+/// that only change between frames. Built by [`MafDie::begin_frame`] and
+/// consumed by [`MafDie::tick`].
+#[derive(Debug, Clone, Copy)]
+pub struct DieFrame {
+    dt: Seconds,
+    env: SensorEnvironment,
+    /// Ideal King's-law conductance at the frame's velocity under the law
+    /// in force; refreshed by the tick that re-derives the law.
+    ideal: ThermalConductance,
+    /// Advective coupling fraction at the frame's velocity.
+    coupling: f64,
+    /// Bubble onset temperature at the frame's pressure.
+    onset: Celsius,
+    /// Reference-lag factor `exp(−dt/lag)`.
+    rho: f64,
+    /// Scale resistance of each heater face (scale deposits between
+    /// frames only).
+    fouling_a: ThermalResistance,
+    fouling_b: ThermalResistance,
 }
 
 /// The complete two-heater MAF die immersed in a fluid.
@@ -330,12 +352,14 @@ impl MafDie {
     }
 
     /// Instantaneous resistance of the selected heater.
+    #[inline]
     pub fn heater_resistance(&self, id: HeaterId) -> Ohms {
         let ch = self.channel(id);
         ch.rtd.resistance(ch.membrane.temperature())
     }
 
     /// Instantaneous resistance of the ambient reference resistor.
+    #[inline]
     pub fn reference_resistance(&self) -> Ohms {
         self.reference_rtd.resistance(self.reference_temperature)
     }
@@ -394,6 +418,7 @@ impl MafDie {
         &self.king
     }
 
+    #[inline]
     fn channel(&self, id: HeaterId) -> &HeaterChannel {
         match id {
             HeaterId::A => &self.heater_a,
@@ -412,12 +437,17 @@ impl MafDie {
     /// and B, in the given environment: membrane heat balance, bubble
     /// growth and detachment, and the reference-resistor lag.
     ///
+    /// One step is one [`tick`](Self::tick) of a one-tick frame
+    /// ([`begin_frame`](Self::begin_frame)), so a frame walk and a run of
+    /// steps share the one tick body and agree to the bit.
+    ///
     /// Scale does not deposit here — it builds over months, so callers
     /// integrate it once per control frame through
     /// [`deposit_scale`](Self::deposit_scale).
     ///
     /// The RNG drives bubble detachment; pass a seeded RNG for reproducible
     /// runs.
+    #[inline]
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         dt: Seconds,
@@ -426,10 +456,84 @@ impl MafDie {
         env: SensorEnvironment,
         rng: &mut R,
     ) {
+        let mut frame = self.begin_frame(dt, env);
+        self.tick(&mut frame, power_a, power_b, rng);
+    }
+
+    /// Evaluates what stays constant over a frame of ticks of length `dt`
+    /// in `env`: the King's-law conductance and advective coupling at the
+    /// frame's velocity, the bubble onset at its pressure, the reference-lag
+    /// factor and each heater's fouling resistance.
+    ///
+    /// The constants hold until the environment or a face's scale changes.
+    /// Scale deposits only between frames
+    /// ([`deposit_scale`](Self::deposit_scale)), and so does injected scale
+    /// ([`deposit_fouling`](Self::deposit_fouling)): begin a new frame after
+    /// either. Bubble coverage is read live every tick, and the King's law
+    /// may be re-derived inside a frame; [`tick`](Self::tick) keeps the
+    /// frame's conductance in step with it.
+    #[inline]
+    pub fn begin_frame(&mut self, dt: Seconds, env: SensorEnvironment) -> DieFrame {
+        // Both nodes share the same ideal King's-law conductance at `v`, and
+        // the advective coupling depends on `v` alone — evaluate both
+        // through the bit-keyed memo (the velocity only changes at the
+        // environment rate, so the `powf` and the division almost always
+        // skip). A memo hit returns the exact values a recomputation would.
+        let v_bits = env.velocity.get().to_bits();
+        let (ideal, coupling) = match self.conductance_cache {
+            Some((bits, g, c)) if bits == v_bits => (g, c),
+            _ => self.memoize_conductance(env.velocity),
+        };
+        // The lag factor depends only on `dt` (the lag is a fixed
+        // parameter), so it memoizes on the step's bit pattern.
+        let dt_bits = dt.get().to_bits();
+        let rho = match self.rho_cache {
+            Some((bits, rho)) if bits == dt_bits => rho,
+            _ => {
+                let rho = (-dt.get() / self.params.reference_lag.get()).exp();
+                self.rho_cache = Some((dt_bits, rho));
+                rho
+            }
+        };
+        DieFrame {
+            dt,
+            env,
+            ideal: ThermalConductance::new(ideal),
+            coupling,
+            onset: self.fluid.bubble_onset_temperature(env.pressure),
+            rho,
+            fouling_a: self.heater_a.fouling.thermal_resistance(),
+            fouling_b: self.heater_b.fouling.thermal_resistance(),
+        }
+    }
+
+    /// Evaluates the King's-law conductance and the advective coupling at
+    /// `v` and stores them in the velocity-keyed memo.
+    fn memoize_conductance(&mut self, v: MetersPerSecond) -> (f64, f64) {
+        let g = self.king.conductance(v).get();
+        let c = self.coupling(v);
+        self.conductance_cache = Some((v.get().to_bits(), g, c));
+        (g, c)
+    }
+
+    /// Advances the die by one tick of `frame` with electrical powers
+    /// applied to heaters A and B. Only what changes within a frame is
+    /// evaluated here: the membrane temperatures (and through them the
+    /// King's-law film, re-derived when it drifts by more than 0.5 K), the
+    /// bubble coverages and the reference temperature.
+    #[inline]
+    pub fn tick<R: Rng + ?Sized>(
+        &mut self,
+        frame: &mut DieFrame,
+        power_a: Watts,
+        power_b: Watts,
+        rng: &mut R,
+    ) {
+        let t_fluid = frame.env.fluid_temperature;
         // Re-derive King's law when the film temperature moves > 0.5 K
         // (property drift matters over tens of kelvin, not per sample).
         let film = 0.5
-            * (env.fluid_temperature.get()
+            * (t_fluid.get()
                 + 0.5
                     * (self.heater_a.membrane.temperature().get()
                         + self.heater_b.membrane.temperature().get()));
@@ -437,29 +541,13 @@ impl MafDie {
             self.king =
                 KingsLaw::from_kramers(&self.fluid, Celsius::new(film), self.params.geometry);
             self.king_film_temp = film;
-            self.conductance_cache = None;
+            let (g, _) = self.memoize_conductance(frame.env.velocity);
+            frame.ideal = ThermalConductance::new(g);
         }
 
-        // Both nodes share the same ideal King's-law conductance at `v`, and
-        // the advective coupling depends on `v` alone — evaluate both once,
-        // through the bit-keyed memo (the velocity only changes at the
-        // environment rate, so the `powf` and the division almost always
-        // skip). A memo hit returns the exact values a recomputation would.
-        let v = env.velocity;
-        let v_bits = v.get().to_bits();
-        let (ideal, c) = match self.conductance_cache {
-            Some((bits, g, c)) if bits == v_bits => (ThermalConductance::new(g), c),
-            _ => {
-                let g = self.king.conductance(v);
-                let c = self.coupling(v);
-                self.conductance_cache = Some((v_bits, g.get(), c));
-                (g, c)
-            }
-        };
-
         // Advective coupling: downstream heater sees pre-heated fluid.
-        let t_fluid = env.fluid_temperature;
-        let (pre_a, pre_b) = if env.velocity.get() >= 0.0 {
+        let c = frame.coupling;
+        let (pre_a, pre_b) = if frame.env.velocity.get() >= 0.0 {
             // A upstream, B downstream.
             (
                 0.0,
@@ -474,13 +562,20 @@ impl MafDie {
         let t_eff_a = Celsius::new(t_fluid.get() + pre_a);
         let t_eff_b = Celsius::new(t_fluid.get() + pre_b);
 
-        let surface_a = self.heater_a.surface();
-        let surface_b = self.heater_b.surface();
+        let surface_a = SurfaceCondition {
+            bubble_coverage: self.heater_a.bubbles.coverage(),
+            fouling_resistance: frame.fouling_a,
+        };
+        let surface_b = SurfaceCondition {
+            bubble_coverage: self.heater_b.bubbles.coverage(),
+            fouling_resistance: frame.fouling_b,
+        };
+        let dt = frame.dt;
         self.heater_a.last_conductance = self.heater_a.membrane.step_cached(
             dt,
             power_a,
             &self.params.membrane,
-            ideal,
+            frame.ideal,
             surface_a,
             t_eff_a,
             t_fluid,
@@ -490,7 +585,7 @@ impl MafDie {
             dt,
             power_b,
             &self.params.membrane,
-            ideal,
+            frame.ideal,
             surface_b,
             t_eff_b,
             t_fluid,
@@ -498,26 +593,15 @@ impl MafDie {
         );
 
         // Bubbles follow wall temperature on the millisecond scale.
-        let onset = self.fluid.bubble_onset_temperature(env.pressure);
         let wall_a = self.heater_a.membrane.temperature();
         let wall_b = self.heater_b.membrane.temperature();
-        self.heater_a.bubbles.step(dt, wall_a, onset, rng);
-        self.heater_b.bubbles.step(dt, wall_b, onset, rng);
+        self.heater_a.bubbles.step(dt, wall_a, frame.onset, rng);
+        self.heater_b.bubbles.step(dt, wall_b, frame.onset, rng);
 
-        // Reference resistor tracks the fluid with a first-order lag. The
-        // lag factor depends only on `dt` (the lag is a fixed parameter), so
-        // it memoizes on the step's bit pattern.
-        let dt_bits = dt.get().to_bits();
-        let rho = match self.rho_cache {
-            Some((bits, rho)) if bits == dt_bits => rho,
-            _ => {
-                let rho = (-dt.get() / self.params.reference_lag.get()).exp();
-                self.rho_cache = Some((dt_bits, rho));
-                rho
-            }
-        };
-        self.reference_temperature =
-            Celsius::new(t_fluid.get() + (self.reference_temperature.get() - t_fluid.get()) * rho);
+        // Reference resistor tracks the fluid with a first-order lag.
+        self.reference_temperature = Celsius::new(
+            t_fluid.get() + (self.reference_temperature.get() - t_fluid.get()) * frame.rho,
+        );
     }
 
     /// Deposits CaCO₃ scale on both heater faces over `dt`, at the present

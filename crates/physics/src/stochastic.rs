@@ -36,28 +36,38 @@ mod tables;
 /// let x = standard_normal(&mut rng);
 /// assert!(x.is_finite());
 /// ```
+#[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    use tables::{F, X};
-    loop {
-        let bits = rng.next_u64();
-        let layer = (bits & 0xff) as usize;
-        // Top 52 bits as the mantissa of a float in [1, 2), mapped onto
-        // the signed uniform [−1, 1).
-        let u = 2.0 * f64::from_bits((bits >> 12) | 0x3ff0_0000_0000_0000) - 3.0;
-        let x = u * X[layer];
-        if x.abs() < X[layer + 1] {
-            return x;
-        }
-        if layer == 0 {
-            return normal_tail(rng, u < 0.0);
-        }
-        // Wedge: a uniform height between the layer's edge densities,
-        // accepted under the density itself.
-        let y = F[layer] + (F[layer + 1] - F[layer]) * rng.gen::<f64>();
-        if y < (-0.5 * x * x).exp() {
-            return x;
-        }
+    use tables::X;
+    let bits = rng.next_u64();
+    let layer = (bits & 0xff) as usize;
+    // Top 52 bits as the mantissa of a float in [1, 2), mapped onto
+    // the signed uniform [−1, 1).
+    let u = 2.0 * f64::from_bits((bits >> 12) | 0x3ff0_0000_0000_0000) - 3.0;
+    let x = u * X[layer];
+    if x.abs() < X[layer + 1] {
+        return x;
     }
+    rejected(rng, layer, u, x)
+}
+
+/// The ziggurat's slow path, for a candidate `x = u·X[layer]` outside its
+/// layer's rectangle: the base strip's tail, or the wedge test — and on a
+/// rejection a fresh draw. Kept out of line so the fast path inlines.
+#[cold]
+#[inline(never)]
+fn rejected<R: Rng + ?Sized>(rng: &mut R, layer: usize, u: f64, x: f64) -> f64 {
+    use tables::F;
+    if layer == 0 {
+        return normal_tail(rng, u < 0.0);
+    }
+    // Wedge: a uniform height between the layer's edge densities,
+    // accepted under the density itself.
+    let y = F[layer] + (F[layer + 1] - F[layer]) * rng.gen::<f64>();
+    if y < (-0.5 * x * x).exp() {
+        return x;
+    }
+    standard_normal(rng)
 }
 
 /// Marsaglia's exponential tail method: a normal draw conditioned on
@@ -95,11 +105,25 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
 /// let x = ou.step(Seconds::from_millis(1.0), &mut rng);
 /// assert!(x.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct OrnsteinUhlenbeck {
     tau: Seconds,
     sigma: f64,
     state: f64,
+    /// Memo of the step's decay `ρ = exp(−dt/τ)` and innovation scale
+    /// `σ·√(1−ρ²)`, keyed on `dt`'s bit pattern: `(bits, ρ, innovation)`.
+    /// Callers step at a fixed control period, so the `exp` and the
+    /// `sqrt` run once per process. Not part of the process's identity
+    /// (see the `PartialEq` impl).
+    step_memo: Option<(u64, f64, f64)>,
+}
+
+/// Two processes are equal when their parameters and state are: the step
+/// memo only caches values derived from them.
+impl PartialEq for OrnsteinUhlenbeck {
+    fn eq(&self, other: &Self) -> bool {
+        self.tau == other.tau && self.sigma == other.sigma && self.state == other.state
+    }
 }
 
 impl OrnsteinUhlenbeck {
@@ -116,6 +140,7 @@ impl OrnsteinUhlenbeck {
             tau,
             sigma,
             state: 0.0,
+            step_memo: None,
         }
     }
 
@@ -129,8 +154,16 @@ impl OrnsteinUhlenbeck {
     /// `x' = ρ·x + σ·√(1−ρ²)·ξ` with `ρ = exp(−dt/τ)`, and returns the new
     /// value.
     pub fn step<R: Rng + ?Sized>(&mut self, dt: Seconds, rng: &mut R) -> f64 {
-        let rho = (-dt.get() / self.tau.get()).exp();
-        let innovation = self.sigma * (1.0 - rho * rho).sqrt();
+        let dt_bits = dt.get().to_bits();
+        let (rho, innovation) = match self.step_memo {
+            Some((bits, rho, innovation)) if bits == dt_bits => (rho, innovation),
+            _ => {
+                let rho = (-dt.get() / self.tau.get()).exp();
+                let innovation = self.sigma * (1.0 - rho * rho).sqrt();
+                self.step_memo = Some((dt_bits, rho, innovation));
+                (rho, innovation)
+            }
+        };
         self.state = rho * self.state + innovation * standard_normal(rng);
         self.state
     }
@@ -159,6 +192,26 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xD1CE)
+    }
+
+    #[test]
+    fn ou_step_memo_is_invisible() {
+        // A process stepped through the memo walks the same bits as one
+        // whose memo is dropped before every step — across a change of
+        // step — and the memo never decides equality.
+        let mut memo = OrnsteinUhlenbeck::new(Seconds::from_millis(50.0), 1.0);
+        let mut fresh = memo;
+        let (mut r1, mut r2) = (rng(), rng());
+        for i in 0..400 {
+            let dt = Seconds::from_millis(if i < 200 { 1.0 } else { 0.25 });
+            fresh.step_memo = None;
+            let a = memo.step(dt, &mut r1);
+            let b = fresh.step(dt, &mut r2);
+            assert_eq!(a.to_bits(), b.to_bits(), "step {i}");
+        }
+        let mut cold = memo;
+        cold.step_memo = None;
+        assert_eq!(cold, memo);
     }
 
     /// Draws for the moment and tail tests: enough that a 4σ tail holds

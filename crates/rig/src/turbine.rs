@@ -35,6 +35,9 @@ pub struct TurbineMeter {
     travel_m: f64,
     /// Internal LCG state for gate-to-gate bearing jitter.
     jitter_state: u64,
+    /// Memo of the rotor-lag factor `1 − exp(−dt/τ)`, keyed on `dt`'s bit
+    /// pattern (the runner steps at a fixed control period).
+    alpha_memo: Option<(u64, f64)>,
 }
 
 impl TurbineMeter {
@@ -53,6 +56,7 @@ impl TurbineMeter {
             reading: MetersPerSecond::ZERO,
             travel_m: 0.0,
             jitter_state: 0x5DEECE66D,
+            alpha_memo: None,
         }
     }
 
@@ -77,7 +81,15 @@ impl TurbineMeter {
             // Bearing drag subtracts a fraction of the starting velocity.
             demand - 0.5 * self.effective_starting_velocity().get()
         };
-        let alpha = 1.0 - (-dt.get() / self.rotor_tau.get()).exp();
+        let dt_bits = dt.get().to_bits();
+        let alpha = match self.alpha_memo {
+            Some((bits, alpha)) if bits == dt_bits => alpha,
+            _ => {
+                let alpha = 1.0 - (-dt.get() / self.rotor_tau.get()).exp();
+                self.alpha_memo = Some((dt_bits, alpha));
+                alpha
+            }
+        };
         self.rotor_velocity += alpha * (target - self.rotor_velocity);
         self.travel_m += self.rotor_velocity * dt.get();
 
@@ -198,5 +210,22 @@ mod tests {
         run(&mut m, 250.0, 60.0);
         assert!(m.travel_m() > 100.0);
         assert!(m.effective_starting_velocity() >= v0);
+    }
+
+    #[test]
+    fn lag_memo_is_invisible() {
+        // Stepping through the memo walks the same bits as dropping it
+        // before every step, across a change of step.
+        let mut memo = TurbineMeter::dn50();
+        let mut fresh = TurbineMeter::dn50();
+        let v = MetersPerSecond::from_cm_per_s(120.0);
+        for i in 0..3000 {
+            let dt = Seconds::from_millis(if i < 1500 { 1.0 } else { 4.0 });
+            fresh.alpha_memo = None;
+            let a = memo.step(dt, v);
+            let b = fresh.step(dt, v);
+            assert_eq!(a.get().to_bits(), b.get().to_bits(), "step {i}");
+        }
+        assert_eq!(memo.travel_m().to_bits(), fresh.travel_m().to_bits());
     }
 }
